@@ -1,16 +1,17 @@
-// bench_load: cold-start latency of the CQCREP05 container — the heap
-// reader vs the zero-copy mmap loader.
+// bench_load: cold-start latency of the CQCREP05 container — the one loader
+// in its two RepFile modes, read (heap copy) vs map (zero-copy mmap).
 //
 // The fixture is built to make load cost visible: one wide relation with
 // four 48-bit bound columns and a small free domain, tau huge enough that
 // the delay-balanced tree is a single leaf. The file is then dominated by
-// the packed candidate pool (~24 bytes/row), so a heap load pays O(file
-// bytes) — read + copy + eager dictionary slot construction — while the
-// mmap open validates the header and block directory and borrows every
-// column in place, O(header) work regardless of file size.
+// the packed candidate pool (~24 bytes/row), so a read-mode load pays
+// O(file bytes) to copy the file into its heap buffer, while the map-mode
+// open validates the header and block directory and borrows every column
+// in place, O(header) work regardless of file size. Both modes build the
+// dictionary's id table lazily, on the first probe.
 //
 // The gate (exit 1 on failure): mmap open must be at least
-// CQC_LOAD_MIN_SPEEDUP (default 50) times faster than the heap load on a
+// CQC_LOAD_MIN_SPEEDUP (default 50) times faster than the read-mode load on a
 // >= 100 MB file. Resident-byte accounting is reported alongside: a fresh
 // mapping should charge far less than the file until probes touch pages.
 //
@@ -49,7 +50,7 @@ int main() {
   using namespace cqc;
   setvbuf(stdout, nullptr, _IOLBF, 0);
   bench::BenchReport report("load");
-  bench::Banner("load: CQCREP05 cold-start, heap reader vs zero-copy mmap",
+  bench::Banner("load: CQCREP05 cold-start, read mode vs map mode",
                 "restart durability: a persisted structure must be servable "
                 "again in O(header) time, not O(structure size)");
 
@@ -111,7 +112,9 @@ int main() {
   std::unique_ptr<CompressedRep> heap_rep, mmap_rep;
   for (int i = 0; i < kRepeats; ++i) {
     WallTimer t;
-    auto loaded = LoadCompressedRep(view.value(), db, path);
+    auto loaded =
+        LoadCompressedRep(view.value(), db, path, nullptr,
+                          RepFile::Mode::kRead);
     const double s = t.Seconds();
     if (!loaded.ok()) {
       std::fprintf(stderr, "heap load: %s\n",
@@ -123,7 +126,9 @@ int main() {
   }
   for (int i = 0; i < kRepeats; ++i) {
     WallTimer t;
-    auto mapped = MmapCompressedRep(view.value(), db, path);
+    auto mapped =
+        LoadCompressedRep(view.value(), db, path, nullptr,
+                          RepFile::Mode::kMap);
     const double s = t.Seconds();
     if (!mapped.ok()) {
       std::fprintf(stderr, "mmap load: %s\n",

@@ -208,7 +208,7 @@ BENCHMARK(BM_GenericJoinTriangleFullBatched)->Unit(benchmark::kMillisecond);
 // Per-kernel scalar-vs-dispatch rows for the SIMD layer (src/simd/): each
 // record measures one kernel in its production hot-loop shape, once pinned
 // to the scalar twin and once at the best level the CPU supports. The
-// *_mtps / *_mprobes keys are gated by tools/bench_compare.py; the
+// *_mtps keys are gated by tools/bench_compare.py; the
 // dispatch_speedup ratio is informational (1.0 on scalar-only hardware).
 void WriteKernelRecords(bench::BenchReport& report) {
   Rng rng(4242);
@@ -273,38 +273,6 @@ void WriteKernelRecords(bench::BenchReport& report) {
     benchmark::DoNotOptimize(sink);
     add("simd_unpack_rows", "scalar_mtps", "dispatch_mtps",
         (double)kReps * kRows, scalar_s, dispatch_s);
-  }
-
-  {
-    // Galloping intersection probes: leapfrog SeekGE of a sparse outer
-    // list into a denser sorted column — the cyclic-box intersection and
-    // SortedIndex::SeekGE shape (short forward hops, occasional gallops).
-    const size_t kOuter = 1 << 16;
-    std::vector<Value> a(kOuter), b;
-    Value v = 0;
-    for (auto& x : a) x = (v += 1 + rng.Uniform(12));
-    b.reserve(kOuter * 4);
-    v = 0;
-    while (v < a.back()) b.push_back(v += 1 + rng.Uniform(3));
-    size_t hits = 0;
-    const int kReps = 30;
-    auto measure = [&] {
-      return best_of(5, [&] {
-        for (int rep = 0; rep < kReps; ++rep) {
-          size_t ib = 0;
-          hits = 0;
-          for (size_t ia = 0; ia < a.size() && ib < b.size(); ++ia) {
-            ib = simd::SeekGE(b.data(), ib, b.size(), a[ia]);
-            if (ib < b.size() && b[ib] == a[ia]) ++hits;
-          }
-        }
-      });
-    };
-    const double scalar_s = at_level(simd::Level::kScalar, measure);
-    const double dispatch_s = at_level(simd::Detected(), measure);
-    benchmark::DoNotOptimize(hits);
-    add("simd_seekge_intersect", "scalar_mprobes", "dispatch_mprobes",
-        (double)kReps * kOuter, scalar_s, dispatch_s);
   }
 
   {

@@ -21,10 +21,9 @@
 // The pool is immutable once built — Pack() over the finished flat pool or
 // FromFlatParts() from a deserialized blob — and safe for concurrent reads.
 // The word array is a ColStore (util/col_store.h): owned after Pack(), and
-// optionally *borrowed* straight out of an mmap'ed rep file by the
-// zero-copy load path. The on-disk word block includes the trailing zero
-// pad word (it is part of WordCount()), so borrowed decode reads of word
-// w+1 stay inside the mapped block.
+// *borrowed* straight out of a rep file by the load path. The on-disk word
+// block includes the trailing zero pad word (it is part of WordCount()),
+// so borrowed decode reads of word w+1 stay inside the file's block.
 #ifndef CQC_CORE_BITPACK_H_
 #define CQC_CORE_BITPACK_H_
 
@@ -72,8 +71,8 @@ class PackedTuplePool {
   /// Rebuilds from serialized parts. `words` must be exactly the padded
   /// word count for (num_rows, widths); CHECK-fails otherwise (callers
   /// validate sizes before constructing). `words` may be a borrowed
-  /// ColStore over a mapping (the zero-copy load path); vectors convert
-  /// implicitly for the owned path.
+  /// ColStore over a rep file (the load path); vectors convert implicitly
+  /// for the owned path.
   static PackedTuplePool FromFlatParts(int arity, size_t num_rows,
                                        std::vector<uint8_t> widths,
                                        ColStore<uint64_t> words) {
@@ -192,7 +191,7 @@ class PackedTuplePool {
   size_t row_bits_ = 0;
   std::vector<uint8_t> widths_;
   std::vector<simd::PackedColSpec> plan_;  // derived from widths_
-  ColStore<uint64_t> words_;  // owned after Pack(); borrowed on mmap load
+  ColStore<uint64_t> words_;  // owned after Pack(); borrowed on load
 };
 
 }  // namespace cqc

@@ -14,10 +14,10 @@
 // lookup is pointer arithmetic (returned as TupleSpan), traversal touches
 // adjacent cache lines, and the whole tree serializes as a handful of flat
 // array blocks. The columns are ColStores (util/col_store.h): owned after
-// Build(), or borrowed straight out of an mmap'ed rep file by the zero-copy
-// load path — the accessor surface is identical either way. A node's
-// interval is still recomputed from the root interval and the betas along
-// the path, keeping per-node space O(mu).
+// Build(), or borrowed straight out of a rep file by the load path — the
+// accessor surface is identical either way. A node's interval is still
+// recomputed from the root interval and the betas along the path, keeping
+// per-node space O(mu).
 #ifndef CQC_CORE_DBTREE_H_
 #define CQC_CORE_DBTREE_H_
 
@@ -58,7 +58,7 @@ class DelayBalancedTree {
 
   /// Reassembles a tree from its flat arrays (deserialization only). The
   /// columns are the SoA blocks: `beta` holds num_nodes * mu values. Each
-  /// may be owned (vectors convert implicitly) or borrowed from a mapping.
+  /// may be owned (vectors convert implicitly) or borrowed from a rep file.
   static DelayBalancedTree FromFlat(int mu, ColStore<Value> beta,
                                     ColStore<int32_t> left,
                                     ColStore<int32_t> right,
@@ -105,7 +105,7 @@ class DelayBalancedTree {
   // mins[mu] | maxs[mu], see core/aggregate.h RingCell).
 
   /// `counts` has one entry per node, `vals` 3 * mu per node. Either owned
-  /// vectors (annotation build) or borrowed mapped blocks (zero-copy load).
+  /// vectors (annotation build) or borrowed file blocks (load).
   void AttachAggregates(ColStore<uint64_t> counts, ColStore<Value> vals);
 
   bool has_aggregates() const { return !agg_count_.empty(); }

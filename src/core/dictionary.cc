@@ -44,10 +44,10 @@ void HeavyDictionary::AttachAggregates(ColStore<uint64_t> counts,
 uint32_t HeavyDictionary::FindValuation(TupleSpan vb) const {
   if (num_candidates_ == 0 || (int)vb.size() != vb_arity_)
     return kNoValuation;
-  // Zero-copy loads defer the id table to the first probe (the pool can
+  // Loaded dictionaries defer the id table to the first probe (the pool can
   // hold millions of candidates the caller may never look up); call_once
-  // makes concurrent first probes safe. Built dictionaries and heap loads
-  // pay only the null test.
+  // makes concurrent first probes safe. Built dictionaries pay only the
+  // null test.
   if (deferred_slots_)
     std::call_once(*deferred_slots_, [this] { BuildIdSlots(); });
   const size_t mask = id_slots_.size() - 1;
@@ -139,7 +139,7 @@ void HeavyDictionary::SetBit(int node, uint32_t vb_id, bool bit) {
   CQC_CHECK_GE(node, 0);
   CQC_CHECK_LT((size_t)node + 1, node_offsets_.size());
   CQC_CHECK(!entry_bit_.borrowed())
-      << "SetBit on a zero-copy (mapped) dictionary";
+      << "SetBit on a loaded (borrowed) dictionary";
   const uint32_t* begin = entry_vb_.data() + node_offsets_[node];
   const uint32_t* end = entry_vb_.data() + node_offsets_[node + 1];
   const uint32_t* it = std::lower_bound(begin, end, vb_id);
@@ -212,8 +212,8 @@ HeavyDictionary HeavyDictionary::FromPacked(
   d.entry_bit_ = std::move(entry_bit);
   d.sealed_ = true;  // already packed: skip Seal()'s repack
   if (d.borrowed()) {
-    // Zero-copy load: defer the O(candidates) id table build to the first
-    // FindValuation so opening the file stays O(header).
+    // Loaded from a file: defer the O(candidates) id table build to the
+    // first FindValuation so opening the file stays O(header).
     d.deferred_slots_ = std::make_unique<std::once_flag>();
   } else {
     d.BuildIdSlots();  // hashes decode from the packed pool (raw is empty)

@@ -154,10 +154,10 @@ class HeavyDictionary {
 
   /// Same, but directly from an already-packed pool (the deserialization
   /// path — no unpack/repack round trip). The CSR columns may be owned
-  /// (vectors convert implicitly) or borrowed from a mapping; when any
+  /// (vectors convert implicitly) or borrowed from a rep file; when any
   /// input borrows, the id table build is DEFERRED to the first
-  /// FindValuation (std::call_once), keeping a zero-copy open O(header)
-  /// instead of O(candidates).
+  /// FindValuation (std::call_once), keeping an open O(header) instead of
+  /// O(candidates).
   static HeavyDictionary FromPacked(int vb_arity, size_t num_candidates,
                                     PackedTuplePool pool,
                                     ColStore<uint32_t> node_offsets,
@@ -234,18 +234,18 @@ class HeavyDictionary {
   PackedTuplePool packed_pool_;
   // Open-addressed hash table: slot -> candidate id (kNoValuation = empty).
   // Power-of-two size, linear probing against pool rows. Derived state (a
-  // cache over the pool), hence mutable: the zero-copy load defers its
-  // construction to the first FindValuation so opening stays O(header).
+  // cache over the pool), hence mutable: a load defers its construction
+  // to the first FindValuation so opening stays O(header).
   mutable std::vector<uint32_t> id_slots_;
-  // Non-null iff the id table build is still pending (zero-copy loads
+  // Non-null iff the id table build is still pending (loaded dictionaries
   // only). call_once makes the lazy build safe under concurrent probes;
-  // heap loads and the builder leave this null and build eagerly, so the
-  // hot probe path costs one null test.
+  // the builder leaves this null and builds eagerly, so the hot probe path
+  // costs one null test.
   std::unique_ptr<std::once_flag> deferred_slots_;
 
   // CSR entries: node_offsets_[n] .. node_offsets_[n+1] index the parallel
   // entry columns, sorted by valuation id within each node. Owned after a
-  // build or heap load; borrowed from the mapping on a zero-copy load.
+  // build; borrowed from the backing file after a load.
   ColStore<uint32_t> node_offsets_;
   ColStore<uint32_t> entry_vb_;
   ColStore<uint8_t> entry_bit_;

@@ -1,6 +1,7 @@
 #include "core/rep_file.h"
 
-#include <cstdio>
+#include <fstream>
+#include <vector>
 
 #include "util/failpoint.h"
 
@@ -12,12 +13,12 @@
 #include <unistd.h>
 #else
 #define CQC_HAVE_MMAP 0
-#include <fstream>
 #endif
 
 namespace cqc {
 
-Result<std::shared_ptr<RepFile>> RepFile::Open(const std::string& path) {
+Result<std::shared_ptr<RepFile>> RepFile::Open(const std::string& path,
+                                               Mode mode) {
   // "rep_file/open" models the open/stat failing (missing snapshot, bad
   // permissions); "rep_file/mmap" models the mapping itself failing
   // (address-space or memory pressure) — distinct because the cache
@@ -27,68 +28,82 @@ Result<std::shared_ptr<RepFile>> RepFile::Open(const std::string& path) {
   std::shared_ptr<RepFile> f(new RepFile());
   f->path_ = path;
 #if CQC_HAVE_MMAP
-  f->fd_ = ::open(path.c_str(), O_RDONLY);
-  if (f->fd_ < 0) return Status::Error("cannot open " + path);
-  struct stat st;
-  if (::fstat(f->fd_, &st) != 0 || st.st_size < 0)
-    return Status::Error("cannot stat " + path);
-  f->size_ = (size_t)st.st_size;
-  if (f->size_ == 0) return f;  // empty file: no mapping needed
-  CQC_FAILPOINT_RESULT("rep_file/mmap");
-  void* map = ::mmap(nullptr, f->size_, PROT_READ, MAP_PRIVATE, f->fd_, 0);
-  if (map == MAP_FAILED) {
-    f->size_ = 0;
-    return Status::Error("mmap failed for " + path);
+  if (mode == Mode::kMap) {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) return Status::Error("cannot open " + path);
+    // The mapping keeps the file alive: the fd is closed on every exit.
+    struct FdCloser {
+      int fd;
+      ~FdCloser() { ::close(fd); }
+    } closer{fd};
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || st.st_size < 0)
+      return Status::Error("cannot stat " + path);
+    f->size_ = (size_t)st.st_size;
+    if (f->size_ == 0) return f;  // empty file: no mapping needed
+    CQC_FAILPOINT_RESULT("rep_file/mmap");
+    void* map = ::mmap(nullptr, f->size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) {
+      f->size_ = 0;
+      return Status::Error("mmap failed for " + path);
+    }
+    f->map_ = map;
+    f->data_ = static_cast<const uint8_t*>(map);
+    return f;
   }
-  f->map_ = map;
-  f->data_ = static_cast<const uint8_t*>(map);
 #else
-  // No mmap on this platform: same interface over a heap read (open is
-  // O(bytes), but every caller keeps working unchanged).
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::Error("cannot open " + path);
+  (void)mode;  // no mmap on this platform: every open reads
+#endif
+  if (Status s = f->ReadIntoHeap(); !s.ok()) return s;
+  return f;
+}
+
+Status RepFile::ReadIntoHeap() {
+  std::ifstream in(path_, std::ios::binary);
+  if (!in.is_open()) return Status::Error("cannot open " + path_);
   in.seekg(0, std::ios::end);
   const std::streamoff n = in.tellg();
-  if (n < 0) return Status::Error("cannot stat " + path);
+  if (n < 0) return Status::Error("cannot stat " + path_);
+  if (n == 0) return Status::Ok();
   in.seekg(0);
-  f->heap_.resize((size_t)n);
-  if (n > 0) in.read(reinterpret_cast<char*>(f->heap_.data()), n);
-  if (!in.good() && n > 0) return Status::Error("read failed: " + path);
-  f->data_ = f->heap_.data();
-  f->size_ = f->heap_.size();
-#endif
-  return f;
+  // Default-initialized lines: the read fills every byte that is ever
+  // addressed (size_ bounds all access), so no zeroing pass.
+  heap_.reset(new Line[((size_t)n + sizeof(Line) - 1) / sizeof(Line)]);
+  if (!in.read(reinterpret_cast<char*>(heap_.get()), n))
+    return Status::Error("read failed: " + path_);
+  data_ = heap_.get()->bytes;
+  size_ = (size_t)n;
+  return Status::Ok();
 }
 
 RepFile::~RepFile() {
 #if CQC_HAVE_MMAP
   if (map_ != nullptr) ::munmap(map_, size_);
-  if (fd_ >= 0) ::close(fd_);
 #endif
 }
 
 size_t RepFile::ResidentBytes() const {
 #if CQC_HAVE_MMAP
-  if (map_ == nullptr) return heap_.size();
-  const size_t page = (size_t)::sysconf(_SC_PAGESIZE);
-  const size_t pages = (size_ + page - 1) / page;
-  std::vector<unsigned char> vec(pages);
+  if (map_ != nullptr) {
+    const size_t page = (size_t)::sysconf(_SC_PAGESIZE);
+    const size_t pages = (size_ + page - 1) / page;
+    std::vector<unsigned char> vec(pages);
 #if defined(__linux__)
-  if (::mincore(map_, size_, vec.data()) != 0) return size_;
+    if (::mincore(map_, size_, vec.data()) != 0) return size_;
 #else
-  if (::mincore(map_, size_, reinterpret_cast<char*>(vec.data())) != 0)
-    return size_;
+    if (::mincore(map_, size_, reinterpret_cast<char*>(vec.data())) != 0)
+      return size_;
 #endif
-  size_t resident_pages = 0;
-  for (unsigned char v : vec) resident_pages += v & 1;
-  // The tail page is partial: charge only the mapped bytes on it.
-  size_t bytes = resident_pages * page;
-  if (!vec.empty() && (vec.back() & 1) && size_ % page != 0)
-    bytes -= page - size_ % page;
-  return bytes;
-#else
-  return heap_.size();
+    size_t resident_pages = 0;
+    for (unsigned char v : vec) resident_pages += v & 1;
+    // The tail page is partial: charge only the mapped bytes on it.
+    size_t bytes = resident_pages * page;
+    if (!vec.empty() && (vec.back() & 1) && size_ % page != 0)
+      bytes -= page - size_ % page;
+    return bytes;
+  }
 #endif
+  return size_;  // a heap buffer is resident in full
 }
 
 }  // namespace cqc

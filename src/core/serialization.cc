@@ -15,9 +15,9 @@ namespace {
 // Format 05: every payload block is a flat raw array, 64-byte-aligned in
 // the file, located through an (offset, count) directory in the header.
 // Alignment + raw storage (the v03 per-row delta varints for the entry ids
-// are gone) make each block directly usable in place, so the mmap loader
-// can borrow columns out of the file with zero decode; the heap loader
-// reads the same blocks into owned vectors. v05 appends four optional
+// are gone) make each block directly usable in place, so the loader
+// borrows every column out of the file's bytes (mapped or read into an
+// aligned heap buffer) with zero decode. v05 appends four optional
 // aggregate-annotation blocks (per-node / per-entry ring cells) so a
 // rep built with aggregates answers them zero-copy after an mmap open.
 constexpr char kMagic[8] = {'C', 'Q', 'C', 'R', 'E', 'P', '0', '5'};
@@ -83,16 +83,7 @@ void Put(std::ostream& out, T v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-// The header is parsed identically from a stream (heap load) and from
-// mapped memory (zero-copy load); both readers expose one primitive.
-struct StreamReader {
-  std::istream& in;
-  bool ReadRaw(void* p, size_t n) {
-    in.read(static_cast<char*>(p), (std::streamsize)n);
-    return in.good();
-  }
-};
-
+// Bounds-checked cursor over the file's bytes, for the header fields.
 struct MemReader {
   const uint8_t* data;
   size_t size;
@@ -105,18 +96,17 @@ struct MemReader {
   }
 };
 
-template <typename Reader, typename T>
-bool Get(Reader& r, T* v) {
+template <typename T>
+bool Get(MemReader& r, T* v) {
   return r.ReadRaw(v, sizeof(T));
 }
 
 /// Parses and sanity-checks the header (everything that needs no database:
 /// magic, parameter finiteness, shape bounds, the block directory against
-/// the file extent). `file_size` is computed ONCE by the caller — blocks
-/// are validated against it here, so neither loader ever re-stats the file
-/// or trusts a claimed length it cannot hold.
-template <typename Reader>
-Status ReadHeader(Reader& r, uint64_t file_size, Header* h) {
+/// the file extent). Blocks are validated against the file size here, so
+/// the loader never trusts a claimed length the file cannot hold.
+Status ReadHeader(MemReader& r, Header* h) {
+  const uint64_t file_size = r.size;
   char magic[8];
   if (!r.ReadRaw(magic, sizeof(magic)) ||
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
@@ -184,8 +174,7 @@ Status ReadHeader(Reader& r, uint64_t file_size, Header* h) {
   return Status::Ok();
 }
 
-/// The loaded columns, owned (heap loader) or borrowed (mmap loader);
-/// vectors convert into ColStore implicitly. `widths` is always owned —
+/// The loaded columns, borrowed from the backing file. `widths` is owned —
 /// it is a handful of bytes and PackedTuplePool keeps its own copy.
 struct RawParts {
   ColStore<Value> beta;
@@ -206,10 +195,10 @@ struct RawParts {
 
 }  // namespace
 
-/// Shared loader internals, friended by CompressedRep. Assemble() builds
-/// the skeleton (view/database resolution), cross-checks every column
-/// against the header shape and the structures' invariants, then moves the
-/// parts into the rep. O(header + tree nodes + dictionary entries) — the
+/// Loader internals, friended by CompressedRep. Assemble() builds the
+/// skeleton (view/database resolution), cross-checks every column against
+/// the header shape and the structures' invariants, then moves the parts
+/// into the rep. O(header + tree nodes + dictionary entries) — the
 /// packed pool words are count-checked but never scanned, which is what
 /// keeps a zero-copy open independent of the candidate pool size.
 class RepSerde {
@@ -364,21 +353,10 @@ Result<std::unique_ptr<CompressedRep>> RepSerde::Assemble(
 
 namespace {
 
-/// Owned read of one directory block. The count was already validated
-/// against the file extent by ReadHeader, so the resize is safe.
-template <typename T>
-bool ReadBlockAt(std::ifstream& in, const BlockDir& d, std::vector<T>* v) {
-  v->resize(d.count);
-  if (d.count == 0) return true;
-  in.clear();
-  in.seekg((std::streamoff)d.offset);
-  in.read(reinterpret_cast<char*>(v->data()), d.count * sizeof(T));
-  return in.good();
-}
-
-/// Borrowed view of one directory block straight out of the mapping. The
-/// 64-byte file alignment plus the page-aligned mapping base make the
-/// reinterpret_cast well-aligned for every element type used here.
+/// Borrowed view of one directory block straight out of the file's bytes.
+/// The 64-byte file alignment plus the 64-byte-aligned base (page-aligned
+/// mapping or aligned heap buffer) make the reinterpret_cast well-aligned
+/// for every element type used here.
 template <typename T>
 ColStore<T> BorrowBlock(const RepFile& f, const BlockDir& d) {
   if (d.count == 0) return ColStore<T>();
@@ -498,78 +476,14 @@ Status SaveCompressedRep(const CompressedRep& rep, const std::string& path) {
 
 Result<std::unique_ptr<CompressedRep>> LoadCompressedRep(
     const AdornedView& view, const Database& db, const std::string& path,
-    const Database* aux_db) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::Error("cannot open " + path);
-  // The file extent, computed exactly once: every block length below is
-  // validated against it (ReadHeader), so no per-block re-stat happens and
-  // the header parse itself never seeks.
-  in.seekg(0, std::ios::end);
-  const std::streamoff extent = in.tellg();
-  if (extent < 0) return Status::Error("cannot stat " + path);
-  in.seekg(0);
-
-  Header h;
-  StreamReader r{in};
-  Status st = ReadHeader(r, (uint64_t)extent, &h);
-  if (!st.ok()) return Status::Error(path + ": " + st.message());
-
-  RawParts p;
-  std::vector<Value> beta;
-  std::vector<int32_t> left, right;
-  std::vector<float> cost;
-  std::vector<uint16_t> level;
-  std::vector<uint8_t> leaf;
-  std::vector<uint64_t> words;
-  std::vector<uint32_t> offsets, entry_vb;
-  std::vector<uint8_t> entry_bit;
-  std::vector<uint64_t> tree_agg_count, entry_agg_count;
-  std::vector<Value> tree_agg_vals, entry_agg_vals;
-  if (!ReadBlockAt(in, h.dir[kBlockBeta], &beta) ||
-      !ReadBlockAt(in, h.dir[kBlockLeft], &left) ||
-      !ReadBlockAt(in, h.dir[kBlockRight], &right) ||
-      !ReadBlockAt(in, h.dir[kBlockCost], &cost) ||
-      !ReadBlockAt(in, h.dir[kBlockLevel], &level) ||
-      !ReadBlockAt(in, h.dir[kBlockLeaf], &leaf))
-    return Status::Error("truncated tree");
-  if (!ReadBlockAt(in, h.dir[kBlockWidths], &p.widths) ||
-      !ReadBlockAt(in, h.dir[kBlockWords], &words) ||
-      !ReadBlockAt(in, h.dir[kBlockOffsets], &offsets) ||
-      !ReadBlockAt(in, h.dir[kBlockEntryVb], &entry_vb) ||
-      !ReadBlockAt(in, h.dir[kBlockEntryBit], &entry_bit))
-    return Status::Error("truncated dictionary");
-  if (!ReadBlockAt(in, h.dir[kBlockTreeAggCount], &tree_agg_count) ||
-      !ReadBlockAt(in, h.dir[kBlockTreeAggVals], &tree_agg_vals) ||
-      !ReadBlockAt(in, h.dir[kBlockEntryAggCount], &entry_agg_count) ||
-      !ReadBlockAt(in, h.dir[kBlockEntryAggVals], &entry_agg_vals))
-    return Status::Error("truncated aggregate annotations");
-  p.beta = std::move(beta);
-  p.left = std::move(left);
-  p.right = std::move(right);
-  p.cost = std::move(cost);
-  p.level = std::move(level);
-  p.leaf = std::move(leaf);
-  p.words = std::move(words);
-  p.offsets = std::move(offsets);
-  p.entry_vb = std::move(entry_vb);
-  p.entry_bit = std::move(entry_bit);
-  p.tree_agg_count = std::move(tree_agg_count);
-  p.tree_agg_vals = std::move(tree_agg_vals);
-  p.entry_agg_count = std::move(entry_agg_count);
-  p.entry_agg_vals = std::move(entry_agg_vals);
-  return RepSerde::Assemble(view, db, aux_db, h, std::move(p), nullptr, 0);
-}
-
-Result<std::unique_ptr<CompressedRep>> MmapCompressedRep(
-    const AdornedView& view, const Database& db, const std::string& path,
-    const Database* aux_db) {
-  Result<std::shared_ptr<RepFile>> open = RepFile::Open(path);
+    const Database* aux_db, RepFile::Mode mode) {
+  Result<std::shared_ptr<RepFile>> open = RepFile::Open(path, mode);
   if (!open.ok()) return open.status();
   std::shared_ptr<RepFile> file = std::move(open).value();
 
   Header h;
   MemReader r{file->data(), file->size()};
-  Status st = ReadHeader(r, (uint64_t)file->size(), &h);
+  Status st = ReadHeader(r, &h);
   if (!st.ok()) return Status::Error(path + ": " + st.message());
 
   RawParts p;
@@ -594,6 +508,7 @@ Result<std::unique_ptr<CompressedRep>> MmapCompressedRep(
       BorrowBlock<uint64_t>(*file, h.dir[kBlockEntryAggCount]);
   p.entry_agg_vals = BorrowBlock<Value>(*file, h.dir[kBlockEntryAggVals]);
 
+  // Every block but the widths is borrowed from the file, in either mode.
   size_t mapped_bytes = 0;
   for (int b = 0; b < kNumBlocks; ++b)
     if (b != kBlockWidths)

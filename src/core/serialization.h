@@ -29,16 +29,18 @@
 //           dictionary per-entry counts u64 + ring cells u64 (3*mu per
 //           entry).
 //
-// Two loaders share one validation pass:
-//   * LoadCompressedRep — reads every block into owned heap vectors
-//     (O(file bytes); no residual file dependency).
-//   * MmapCompressedRep — maps the file read-only (core/rep_file.h) and
-//     BORROWS the payload blocks straight out of the mapping
-//     (util/col_store.h): open is O(header + tree nodes + dictionary
-//     entries) regardless of pool size, the OS pages candidate data in on
-//     demand, and the returned rep keeps the mapping alive for its
-//     lifetime. The dictionary's id table is built lazily on the first
-//     FindValuation.
+// One loader: LoadCompressedRep opens the file as a RepFile
+// (core/rep_file.h), validates the header and block directory, and BORROWS
+// every payload block straight out of the file's bytes (util/col_store.h).
+// The mode only says where those bytes live:
+//   * RepFile::Mode::kRead — read into a 64-byte-aligned heap buffer:
+//     O(file bytes) open, no residual dependency on the file.
+//   * RepFile::Mode::kMap — mapped read-only: open is O(header + tree
+//     nodes + dictionary entries) regardless of pool size and the OS pages
+//     candidate data in on demand.
+// Either way the returned rep keeps its RepFile alive for its lifetime,
+// stats().mapped_bytes counts the borrowed bytes, and the dictionary's id
+// table is built lazily on the first FindValuation.
 #ifndef CQC_CORE_SERIALIZATION_H_
 #define CQC_CORE_SERIALIZATION_H_
 
@@ -46,6 +48,7 @@
 #include <string>
 
 #include "core/compressed_rep.h"
+#include "core/rep_file.h"
 #include "util/status.h"
 
 namespace cqc {
@@ -54,17 +57,12 @@ namespace cqc {
 Status SaveCompressedRep(const CompressedRep& rep, const std::string& path);
 
 /// Reconstructs a structure previously saved for the same view over the
-/// same data. Fails on magic/version/shape mismatches.
+/// same data, backed by `path` opened in `mode`. Fails on magic/version/
+/// shape mismatches and on any corrupt block.
 Result<std::unique_ptr<CompressedRep>> LoadCompressedRep(
     const AdornedView& view, const Database& db, const std::string& path,
-    const Database* aux_db = nullptr);
-
-/// Zero-copy variant: maps `path` and serves the tree/dictionary columns
-/// directly from the mapping. Same validation and failure modes as
-/// LoadCompressedRep; the mapping lives as long as the returned rep.
-Result<std::unique_ptr<CompressedRep>> MmapCompressedRep(
-    const AdornedView& view, const Database& db, const std::string& path,
-    const Database* aux_db = nullptr);
+    const Database* aux_db = nullptr,
+    RepFile::Mode mode = RepFile::Mode::kRead);
 
 }  // namespace cqc
 

@@ -1,6 +1,5 @@
 #include "join/generic_join.h"
 
-#include "simd/kernels.h"
 #include "util/logging.h"
 #include "util/op_counter.h"
 
@@ -242,12 +241,7 @@ size_t JoinIterator::ScanLastLevel(TupleBuffer* out, size_t max_tuples) {
       v = col[pos];
       if (c.kind == FBoxDim::kRange && v > c.hi) break;
       ops::Bump();
-      // Length-1 runs dominate set-semantics deepest levels: one inline
-      // compare; real runs fall through to the block compare-and-count
-      // kernel (which gallops past pathological ones).
-      size_t end = pos + 1;
-      if (end < parent.end && col[end] == v)
-        end = simd::RunEnd(col, pos, parent.end);
+      const size_t end = RunEndInColumn(col, pos, parent.end);
       Value* slot = out->AppendSlot();
       for (int l = 0; l < level; ++l) slot[l] = values_[l];
       slot[level] = v;

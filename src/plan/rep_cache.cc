@@ -215,8 +215,8 @@ Result<std::shared_ptr<CachedRep>> RepCache::BuildEntry(
   // a fresh build rather than serving stale answers silently.
   if (!options_.snapshot_dir.empty()) {
     Result<std::unique_ptr<CompressedRep>> mapped =
-        MmapCompressedRep(entry->normalized_.view, *db_, SnapshotPath(key),
-                          &entry->normalized_.aux_db);
+        LoadCompressedRep(entry->normalized_.view, *db_, SnapshotPath(key),
+                          &entry->normalized_.aux_db, RepFile::Mode::kMap);
     if (mapped.ok()) {
       Plan plan;
       plan.spec.kind = RepKind::kCompressed;

@@ -62,9 +62,9 @@ struct RepCacheOptions {
   /// which is the whole point of the zero-copy path. The most recent entry
   /// is never evicted (the budget cannot make the cache useless).
   size_t max_resident_bytes = 0;
-  /// When non-empty: directory of CQCREP04 snapshot files. A cache miss
-  /// first probes `<dir>/<hash(key)>.cqcrep` and serves it via the
-  /// zero-copy loader (validated against the current database) before
+  /// When non-empty: directory of CQCREP05 snapshot files. A cache miss
+  /// first probes `<dir>/<hash(key)>.cqcrep` and serves it mapped
+  /// zero-copy (validated against the current database) before
   /// falling back to a fresh plan + build; PersistEntry() writes such a
   /// snapshot for a cached compressed entry. This is the restart story:
   /// persist before shutdown, remap on boot in O(header) time.
@@ -203,7 +203,7 @@ class RepCache {
 
   /// Writes the cached entry's compressed structure to the snapshot
   /// directory (options.snapshot_dir must be set) so a future cache —
-  /// typically after a restart — can serve it via the zero-copy loader.
+  /// typically after a restart — can serve it mapped, zero-copy.
   /// Errors if the key is not cached, the entry is not a compressed
   /// structure, or no snapshot_dir is configured.
   Status PersistEntry(const std::string& key);

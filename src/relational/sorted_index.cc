@@ -6,7 +6,6 @@
 
 #include "exec/par_util.h"
 #include "relational/relation.h"
-#include "simd/kernels.h"
 #include "util/logging.h"
 #include "util/op_counter.h"
 
@@ -55,21 +54,8 @@ size_t SortedIndex::SeekGE(RowRange r, int level, Value v,
                            size_t hint) const {
   ops::Bump();
   ops::BumpRangeSeek();
-  const Value* col = cols_[level].data();
-  const size_t lo = hint < r.begin ? r.begin : hint;
-  // Keep the no-motion fast path inline (the leapfrog hint usually already
-  // sits on the answer); the galloping block probe lives in the kernel.
-  if (lo >= r.end || col[lo] >= v) return lo;
-  return simd::SeekGE(col, lo, r.end, v);
-}
-
-size_t SortedIndex::RunEnd(RowRange r, int level, size_t pos) const {
-  const Value* col = cols_[level].data();
-  // Inline check for length-1 runs (set-semantics levels); longer runs go
-  // to the block compare-and-count kernel.
-  const size_t next = pos + 1;
-  if (next >= r.end || col[next] != col[pos]) return next;
-  return simd::RunEnd(col, pos, r.end);
+  return GallopSeekGE(cols_[level].data(), hint < r.begin ? r.begin : hint,
+                      r.end, v);
 }
 
 size_t SortedIndex::UpperBound(RowRange r, int level, Value v) const {

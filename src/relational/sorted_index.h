@@ -10,6 +10,7 @@
 #ifndef CQC_RELATIONAL_SORTED_INDEX_H_
 #define CQC_RELATIONAL_SORTED_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -18,6 +19,53 @@
 namespace cqc {
 
 class Relation;
+
+/// First i in [begin, end) with col[i] >= v (col sorted ascending); `end`
+/// when none. Gallops from `begin` until a step overshoots, then
+/// binary-searches the last bracket: O(log d) in the distance d moved.
+inline size_t GallopSeekGE(const Value* col, size_t begin, size_t end,
+                           Value v) {
+  if (begin >= end || col[begin] >= v) return begin;
+  // Invariant: col[prev] < v.
+  size_t step = 1;
+  size_t prev = begin;
+  while (begin + step < end && col[begin + step] < v) {
+    prev = begin + step;
+    step <<= 1;
+  }
+  const size_t hi = std::min(begin + step, end);
+  return std::lower_bound(col + prev + 1, col + hi, v) - col;
+}
+
+/// First i in (pos, end) with col[i] != col[pos]; `end` when the run covers
+/// the suffix. col sorted ascending, pos < end. Short runs dominate, so it
+/// probes linearly (a length-1 run costs one compare), then gallops out of
+/// long runs on the equality predicate itself (rather than seeking v + 1,
+/// which would overflow at v == UINT64_MAX).
+inline size_t RunEndInColumn(const Value* col, size_t pos, size_t end) {
+  const Value v = col[pos];
+  size_t i = pos + 1;
+  const size_t linear_end = std::min(end, pos + 32);
+  while (i < linear_end && col[i] == v) ++i;
+  if (i < linear_end || i >= end || col[i] != v) return i;
+  // Gallop. Invariant: col[lo] == v.
+  size_t lo = i;
+  size_t step = 1;
+  while (lo + step < end && col[lo + step] == v) {
+    lo += step;
+    step <<= 1;
+  }
+  size_t hi = std::min(lo + step, end);
+  while (hi - lo > 1) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (col[mid] == v) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return hi;
+}
 
 /// Contiguous run of rows [begin, end) at a given trie depth.
 struct RowRange {
@@ -68,9 +116,10 @@ class SortedIndex {
   size_t SeekGE(RowRange r, int level, Value v, size_t hint) const;
 
   /// End of the run of rows equal to the value at `pos` within `r`
-  /// (pos must be in [r.begin, r.end)). Linear probe with a galloping
-  /// fallback: runs are short in practice, so this beats a binary search.
-  size_t RunEnd(RowRange r, int level, size_t pos) const;
+  /// (pos must be in [r.begin, r.end)); see RunEndInColumn.
+  size_t RunEnd(RowRange r, int level, size_t pos) const {
+    return RunEndInColumn(cols_[level].data(), pos, r.end);
+  }
 
   /// Smallest level value within `r`. Requires !r.empty().
   Value MinValue(RowRange r, int level) const { return cols_[level][r.begin]; }

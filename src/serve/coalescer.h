@@ -78,10 +78,11 @@ class ReadCoalescer {
 
   CoalescerStats stats() const;
 
-  /// Test hook: the leader sleeps this long between winning Attach and
-  /// its drain, widening the coalescing window so tests can assert
-  /// "K concurrent identical queries -> exactly one drain"
-  /// deterministically. 0 (the default) in production.
+  /// Test hook: every read drain sleeps this long just after its
+  /// Answer() call — the point where it captures the structure's state —
+  /// widening the coalescing window so tests can assert "K concurrent
+  /// identical queries -> exactly one drain" deterministically, and race
+  /// writes against a drain's snapshot. 0 (the default) in production.
   static void SetDrainHoldForTest(std::chrono::milliseconds hold);
   static std::chrono::milliseconds DrainHoldForTest();
 

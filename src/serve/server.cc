@@ -24,6 +24,18 @@ uint32_t ClampOffset(uint64_t off) {
   return off >= kNoOffset ? kNoOffset : (uint32_t)off;
 }
 
+/// Values a response frame (empty message) can carry without passing
+/// kMaxPayloadBytes, the cap every client's FrameReader enforces.
+constexpr size_t kMaxResponseValues =
+    (kMaxPayloadBytes - kResponseFixedBytes) / 8;
+
+Status FrameCapError(int arity) {
+  return Status::Error(StrFormat(
+      "answer exceeds the wire frame cap of %u bytes (more than %zu rows "
+      "of arity %d)",
+      kMaxPayloadBytes, kMaxResponseValues / (size_t)arity, arity));
+}
+
 }  // namespace
 
 CqcServer::CqcServer(const Database* db, ServerOptions options)
@@ -417,6 +429,10 @@ DrainResult CqcServer::RunQueryDrain(const CachedRep& entry, const Tuple& vb,
     out.status = stream.status();
     return out;
   }
+  // Answer() captured the structure's state; the test hold widens the
+  // window in which other requests can attach to (or race) this drain.
+  if (const auto hold = ReadCoalescer::DrainHoldForTest(); hold.count() > 0)
+    std::this_thread::sleep_for(hold);
   // A boolean view (num_free 0) enumerates the empty tuple when satisfied;
   // the wire cannot carry arity-0 rows, so it travels as arity 1 / value 1.
   const int wire_arity = arity == 0 ? 1 : arity;
@@ -442,6 +458,13 @@ DrainResult CqcServer::RunQueryDrain(const CachedRep& entry, const Tuple& vb,
       }
       const TupleSpan t = batch[j];
       out.values.insert(out.values.end(), t.data(), t.data() + t.size());
+    }
+    // The response frame must fit the clients' payload cap: stop the
+    // drain as soon as the values section passes it, not after.
+    if (out.values.size() > kMaxResponseValues) {
+      out.status = FrameCapError(wire_arity);
+      std::vector<uint64_t>().swap(out.values);
+      return out;
     }
     if (n < kBatch) break;
     if (++slices % kYieldEvery == 0) std::this_thread::yield();
@@ -572,6 +595,11 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
         resp.message = "aggregate row arity exceeds the wire limit of 255";
         break;
       }
+      if (agg.num_groups() * (size_t)row_arity > kMaxResponseValues) {
+        resp.code = StatusCode::kError;
+        resp.message = FrameCapError(row_arity).message();
+        break;
+      }
       resp.arity = (uint8_t)row_arity;
       resp.values.reserve(agg.num_groups() * (size_t)row_arity);
       for (size_t g = 0; g < agg.num_groups(); ++g) {
@@ -603,6 +631,7 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
         resp.message = s.message();
         break;
       }
+      tenant->write_generation.fetch_add(1);
       mutations_applied_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
@@ -622,11 +651,16 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
         }
         break;
       }
-      // Coalesced read: key on the cached entry's identity plus the raw
-      // body, so two requests share a drain only when they hit the same
-      // structure generation with the same request line. The callback owns
-      // the response; this worker returns immediately unless it leads.
-      std::string key = StrFormat("%p|", (const void*)entry.get());
+      // Coalesced read: key on the cached entry's identity, the tenant's
+      // write generation and the raw body, so two requests share a drain
+      // only when they hit the same structure with the same request line
+      // and no write was acknowledged in between — a read issued after a
+      // write's OK never joins a drain that may predate the write. The
+      // callback owns the response; this worker returns immediately
+      // unless it leads.
+      std::string key =
+          StrFormat("%p|%llu|", (const void*)entry.get(),
+                    (unsigned long long)tenant->write_generation.load());
       key += req.body;
       auto callback = [this, conn_id, tenant, ctx,
                        request_id = req.request_id, entry](
@@ -660,8 +694,6 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
       };
       if (coalescer_.Attach(key, std::move(callback))) {
         // This request leads: drain once, publish to everyone attached.
-        const auto hold = ReadCoalescer::DrainHoldForTest();
-        if (hold.count() > 0) std::this_thread::sleep_for(hold);
         DrainResult r = RunQueryDrain(*entry, op.values, ctx.get());
         if (r.status.ok()) {
           r.rows = (uint32_t)r.num_rows();

@@ -164,6 +164,11 @@ class CqcServer {
   struct Tenant {
     std::unique_ptr<RepCache> cache;
     std::atomic<size_t> inflight{0};
+    // Bumped after every successful wire mutation, before its response is
+    // sent. Part of the read-coalescing key: updatable entries absorb
+    // writes in place, so the entry pointer alone cannot tell a drain that
+    // started before an acknowledged write from one that started after.
+    std::atomic<uint64_t> write_generation{0};
   };
 
   // --- loop thread ---------------------------------------------------------
@@ -183,6 +188,9 @@ class CqcServer {
   // --- worker threads ------------------------------------------------------
   void HandleRequest(uint64_t conn_id, WireRequest req,
                      uint64_t payload_offset);
+  /// Drains one query answer into wire values. Fails clean (no rows) when
+  /// the response frame would exceed kMaxPayloadBytes, the cap every
+  /// client's FrameReader enforces.
   DrainResult RunQueryDrain(const CachedRep& entry, const Tuple& vb,
                             const RequestContext* ctx) const;
   /// Thread-safe: serializes and hands the response to the loop thread.

@@ -1,12 +1,9 @@
 // Kernel implementations for every dispatch level. x86 fast paths are
 // compiled with per-function target attributes (no global -mavx2), so one
 // binary carries all levels and simd_caps.cc picks at startup. All results
-// are uniquely defined by the kernel contracts (first index satisfying a
-// predicate, exact field bits), so levels may use different strategies —
-// galloping vs block compare-and-count — and still agree bit-for-bit.
+// are uniquely defined by the kernel contracts (exact field bits, exact
+// slot masks), so levels agree bit-for-bit.
 #include "simd/kernels.h"
-
-#include <algorithm>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -25,51 +22,6 @@ namespace {
 // Scalar twins. These pin the reference semantics; every vector kernel below
 // must match them bit-for-bit (tests/simd_kernels_test.cc enforces it).
 // ---------------------------------------------------------------------------
-
-size_t SeekGEScalar(const Value* col, size_t begin, size_t end, Value v) {
-  size_t lo = begin;
-  if (lo >= end || col[lo] >= v) return lo;
-  // col[lo] < v: gallop until the step overshoots, then binary-search the
-  // last bracket. Invariant: col[prev] < v.
-  size_t step = 1;
-  size_t prev = lo;
-  while (lo + step < end && col[lo + step] < v) {
-    prev = lo + step;
-    step <<= 1;
-  }
-  const size_t hi = std::min(lo + step, end);
-  return std::lower_bound(col + prev + 1, col + hi, v) - col;
-}
-
-// Gallops on the equality predicate itself (rather than SeekGE(v + 1), which
-// would overflow at v == UINT64_MAX). Invariant: col[lo] == v.
-size_t RunEndGallop(const Value* col, size_t lo, size_t end, Value v) {
-  size_t step = 1;
-  while (lo + step < end && col[lo + step] == v) {
-    lo += step;
-    step <<= 1;
-  }
-  size_t hi = std::min(lo + step, end);
-  while (hi - lo > 1) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (col[mid] == v) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
-}
-
-size_t RunEndScalar(const Value* col, size_t pos, size_t end) {
-  const Value v = col[pos];
-  size_t i = pos + 1;
-  // Short runs dominate; probe linearly, then gallop out of long runs.
-  const size_t linear_end = std::min(end, pos + 32);
-  while (i < linear_end && col[i] == v) ++i;
-  if (i < linear_end || i >= end || col[i] != v) return i;
-  return RunEndGallop(col, i, end, v);
-}
 
 void UnpackRowsScalar(const uint64_t* words, const PackedColSpec* cols,
                       int arity, size_t row_bits, size_t first, size_t n,
@@ -109,158 +61,14 @@ uint32_t MatchEmptyScalar(const uint32_t* rows, uint32_t empty) {
 }
 
 constexpr KernelTable kScalarTable = {
-    &SeekGEScalar, &RunEndScalar, &UnpackRowsScalar,
-    &MatchTagsScalar, &MatchEmptyScalar,
+    &UnpackRowsScalar, &MatchTagsScalar, &MatchEmptyScalar,
 };
 
 // ---------------------------------------------------------------------------
-// x86: SSE4.2 (2 x u64 lanes, 16 x u8 / 4 x u32 compares) and AVX2
-// (4 x u64 lanes, gathers + variable shifts). Unsigned 64-bit compares are
-// built from the signed cmpgt by flipping the sign bit of both operands.
+// x86: AVX2 (4 x u64 lanes, gathers + variable shifts; 16 x u8 / 8 x u32
+// compares).
 // ---------------------------------------------------------------------------
 #if defined(__x86_64__) || defined(__i386__)
-
-constexpr uint64_t kSignFlip = 0x8000000000000000ull;
-
-__attribute__((target("sse4.2"))) size_t SeekGESse(const Value* col,
-                                                   size_t begin, size_t end,
-                                                   Value v) {
-  size_t lo = begin;
-  if (lo >= end || col[lo] >= v) return lo;
-  size_t step = 1;
-  size_t prev = lo;
-  while (lo + step < end && col[lo + step] < v) {
-    prev = lo + step;
-    step <<= 1;
-  }
-  size_t hi = std::min(lo + step, end);
-  size_t b = prev + 1;
-  // Binary-narrow the bracket, then compare-and-count 2 lanes per step: the
-  // column is sorted, so the first lane with col[i] >= v is the answer.
-  while (hi - b > 32) {
-    const size_t mid = b + (hi - b) / 2;
-    if (col[mid] < v) {
-      b = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const __m128i vflip = _mm_set1_epi64x((long long)(v ^ kSignFlip));
-  const __m128i flip = _mm_set1_epi64x((long long)kSignFlip);
-  size_t i = b;
-  for (; i + 2 <= hi; i += 2) {
-    const __m128i d = _mm_xor_si128(
-        _mm_loadu_si128((const __m128i*)(col + i)), flip);
-    // Lane set <=> col[i + lane] < v.
-    const int m = _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(vflip, d)));
-    if (m != 0x3) return i + (size_t)__builtin_ctz(~(unsigned)m & 0x3u);
-  }
-  while (i < hi && col[i] < v) ++i;
-  return i;
-}
-
-__attribute__((target("sse4.2"))) size_t RunEndSse(const Value* col,
-                                                   size_t pos, size_t end) {
-  const Value v = col[pos];
-  size_t i = pos + 1;
-  // Same hybrid shape as the AVX2 kernel: scalar for short runs, 2-lane
-  // blocks for medium ones, gallop past pathological ones.
-  const size_t linear_end = std::min(end, pos + 32);
-  while (i < linear_end && col[i] == v) ++i;
-  if (i < linear_end || i >= end || col[i] != v) return i;
-  const __m128i vv = _mm_set1_epi64x((long long)v);
-  const size_t scan_end = std::min(end, pos + 128);
-  for (; i + 2 <= scan_end; i += 2) {
-    const __m128i d = _mm_loadu_si128((const __m128i*)(col + i));
-    const int m = _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpeq_epi64(d, vv)));
-    if (m != 0x3) return i + (size_t)__builtin_ctz(~(unsigned)m & 0x3u);
-  }
-  while (i < scan_end && col[i] == v) ++i;
-  if (i < scan_end || i >= end || col[i] != v) return i;
-  return RunEndGallop(col, i, end, v);
-}
-
-__attribute__((target("sse4.2"))) uint32_t MatchTagsSse(const uint8_t* fps,
-                                                        uint8_t tag) {
-  const __m128i t = _mm_set1_epi8((char)tag);
-  const __m128i d = _mm_loadu_si128((const __m128i*)fps);
-  return (uint32_t)_mm_movemask_epi8(_mm_cmpeq_epi8(d, t));
-}
-
-__attribute__((target("sse4.2"))) uint32_t MatchEmptySse(const uint32_t* rows,
-                                                         uint32_t empty) {
-  const __m128i e = _mm_set1_epi32((int)empty);
-  uint32_t m = 0;
-  for (size_t i = 0; i < kGroupWidth; i += 4) {
-    const __m128i d = _mm_loadu_si128((const __m128i*)(rows + i));
-    m |= (uint32_t)_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(d, e)))
-         << i;
-  }
-  return m;
-}
-
-constexpr KernelTable kSseTable = {
-    &SeekGESse, &RunEndSse, &UnpackRowsScalar,  // no gathers below AVX2
-    &MatchTagsSse, &MatchEmptySse,
-};
-
-__attribute__((target("avx2"))) size_t SeekGEAvx2(const Value* col,
-                                                  size_t begin, size_t end,
-                                                  Value v) {
-  size_t lo = begin;
-  if (lo >= end || col[lo] >= v) return lo;
-  size_t step = 1;
-  size_t prev = lo;
-  while (lo + step < end && col[lo + step] < v) {
-    prev = lo + step;
-    step <<= 1;
-  }
-  size_t hi = std::min(lo + step, end);
-  size_t b = prev + 1;
-  while (hi - b > 64) {
-    const size_t mid = b + (hi - b) / 2;
-    if (col[mid] < v) {
-      b = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const __m256i vflip = _mm256_set1_epi64x((long long)(v ^ kSignFlip));
-  const __m256i flip = _mm256_set1_epi64x((long long)kSignFlip);
-  size_t i = b;
-  for (; i + 4 <= hi; i += 4) {
-    const __m256i d = _mm256_xor_si256(
-        _mm256_loadu_si256((const __m256i*)(col + i)), flip);
-    const int m =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(vflip, d)));
-    if (m != 0xF) return i + (size_t)__builtin_ctz(~(unsigned)m & 0xFu);
-  }
-  while (i < hi && col[i] < v) ++i;
-  return i;
-}
-
-__attribute__((target("avx2"))) size_t RunEndAvx2(const Value* col, size_t pos,
-                                                  size_t end) {
-  const Value v = col[pos];
-  size_t i = pos + 1;
-  // Short runs: a scalar compare per element beats the vector pipeline's
-  // compare->movemask->branch latency. Vector lanes only pay from ~32
-  // elements on, where whole blocks are skipped per branch.
-  const size_t linear_end = std::min(end, pos + 32);
-  while (i < linear_end && col[i] == v) ++i;
-  if (i < linear_end || i >= end || col[i] != v) return i;
-  const __m256i vv = _mm256_set1_epi64x((long long)v);
-  const size_t scan_end = std::min(end, pos + 256);
-  for (; i + 4 <= scan_end; i += 4) {
-    const __m256i d = _mm256_loadu_si256((const __m256i*)(col + i));
-    const int m =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(d, vv)));
-    if (m != 0xF) return i + (size_t)__builtin_ctz(~(unsigned)m & 0xFu);
-  }
-  while (i < scan_end && col[i] == v) ++i;
-  if (i < scan_end || i >= end || col[i] != v) return i;
-  return RunEndGallop(col, i, end, v);
-}
 
 // Batch decode, 4 rows per step: per column, gather the two covering words
 // of all 4 rows, splice with variable shifts (sllv/srlv), mask, and scatter
@@ -312,6 +120,14 @@ __attribute__((target("avx2"))) void UnpackRowsAvx2(
   }
 }
 
+// The 16 fingerprint bytes fit one 128-bit compare.
+__attribute__((target("avx2"))) uint32_t MatchTagsAvx2(const uint8_t* fps,
+                                                       uint8_t tag) {
+  const __m128i t = _mm_set1_epi8((char)tag);
+  const __m128i d = _mm_loadu_si128((const __m128i*)fps);
+  return (uint32_t)_mm_movemask_epi8(_mm_cmpeq_epi8(d, t));
+}
+
 __attribute__((target("avx2"))) uint32_t MatchEmptyAvx2(const uint32_t* rows,
                                                         uint32_t empty) {
   const __m256i e = _mm256_set1_epi32((int)empty);
@@ -325,67 +141,15 @@ __attribute__((target("avx2"))) uint32_t MatchEmptyAvx2(const uint32_t* rows,
 }
 
 constexpr KernelTable kAvx2Table = {
-    &SeekGEAvx2, &RunEndAvx2, &UnpackRowsAvx2,
-    &MatchTagsSse,  // 16-byte tag compare is already one SSE op
-    &MatchEmptyAvx2,
+    &UnpackRowsAvx2, &MatchTagsAvx2, &MatchEmptyAvx2,
 };
 
 #endif  // x86
 
 // ---------------------------------------------------------------------------
-// aarch64: NEON is baseline; 2 x u64 lanes with native unsigned compares.
+// aarch64: NEON is baseline; 16 x u8 / 4 x u32 compares.
 // ---------------------------------------------------------------------------
 #if defined(__aarch64__)
-
-inline uint32_t Mask2(uint64x2_t cmp) {
-  return (uint32_t)(vgetq_lane_u64(cmp, 0) & 1) |
-         ((uint32_t)(vgetq_lane_u64(cmp, 1) & 1) << 1);
-}
-
-size_t SeekGENeon(const Value* col, size_t begin, size_t end, Value v) {
-  size_t lo = begin;
-  if (lo >= end || col[lo] >= v) return lo;
-  size_t step = 1;
-  size_t prev = lo;
-  while (lo + step < end && col[lo + step] < v) {
-    prev = lo + step;
-    step <<= 1;
-  }
-  size_t hi = std::min(lo + step, end);
-  size_t b = prev + 1;
-  while (hi - b > 32) {
-    const size_t mid = b + (hi - b) / 2;
-    if (col[mid] < v) {
-      b = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const uint64x2_t vv = vdupq_n_u64(v);
-  size_t i = b;
-  for (; i + 2 <= hi; i += 2) {
-    const uint64x2_t d = vld1q_u64(col + i);
-    const uint32_t m = Mask2(vcltq_u64(d, vv));  // lane set <=> col[i] < v
-    if (m != 0x3) return i + (size_t)__builtin_ctz(~m & 0x3u);
-  }
-  while (i < hi && col[i] < v) ++i;
-  return i;
-}
-
-size_t RunEndNeon(const Value* col, size_t pos, size_t end) {
-  const Value v = col[pos];
-  const uint64x2_t vv = vdupq_n_u64(v);
-  size_t i = pos + 1;
-  const size_t scan_end = std::min(end, pos + 64);
-  for (; i + 2 <= scan_end; i += 2) {
-    const uint64x2_t d = vld1q_u64(col + i);
-    const uint32_t m = Mask2(vceqq_u64(d, vv));
-    if (m != 0x3) return i + (size_t)__builtin_ctz(~m & 0x3u);
-  }
-  while (i < scan_end && col[i] == v) ++i;
-  if (i < scan_end || i >= end || col[i] != v) return i;
-  return RunEndGallop(col, i, end, v);
-}
 
 uint32_t MatchTagsNeon(const uint8_t* fps, uint8_t tag) {
   const uint8x16_t d = vld1q_u8(fps);
@@ -414,7 +178,7 @@ uint32_t MatchEmptyNeon(const uint32_t* rows, uint32_t empty) {
 }
 
 constexpr KernelTable kNeonTable = {
-    &SeekGENeon, &RunEndNeon, &UnpackRowsScalar,  // no gather on NEON
+    &UnpackRowsScalar,  // no gather on NEON
     &MatchTagsNeon, &MatchEmptyNeon,
 };
 
@@ -431,8 +195,6 @@ const KernelTable* TableFor(Level level) {
     case Level::kScalar:
       return &kScalarTable;
 #if defined(__x86_64__) || defined(__i386__)
-    case Level::kSSE42:
-      return &kSseTable;
     case Level::kAVX2:
       return &kAvx2Table;
 #endif

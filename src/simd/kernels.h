@@ -1,11 +1,6 @@
-// SIMD kernels for the three hottest inner loops, behind runtime dispatch
-// (simd/simd_caps.h):
+// SIMD kernels for the hot inner loops where vector code measurably pays,
+// behind runtime dispatch (simd/simd_caps.h):
 //
-//   * SeekGE / RunEnd — sorted-column search steps backing
-//     SortedIndex::SeekGE and the run scans in JoinIterator: block
-//     compare-and-count probes (4–16 lanes per step) replace one-element
-//     galloping and linear run probes, with a scalar tail for the last
-//     partial block.
 //   * UnpackRows — batch decode of bit-packed tuple rows
 //     (core/bitpack.h): per column, gather the two covering words for a
 //     block of rows and splice with vector variable shifts, instead of the
@@ -14,6 +9,11 @@
 //     index (relational/hash_index.h): one vector compare yields the
 //     fingerprint-match and empty-slot masks of a whole cluster window,
 //     backing the block tombstone filter in core/updatable_rep.cc.
+//
+// The sorted-column search steps (gallop to the first value >= v, end of a
+// run of equal values) stay scalar, next to their data in
+// relational/sorted_index.h: block compare-and-count versions measured no
+// faster than the gallop.
 //
 // Every kernel has a scalar twin with IDENTICAL output semantics (the
 // differential suite in tests/simd_kernels_test.cc sweeps all levels and
@@ -52,12 +52,6 @@ namespace detail {
 /// The dispatch table. One instance per level lives in kernels.cc; the
 /// active pointer is swapped by simd::SetLevel.
 struct KernelTable {
-  /// First i in [begin, end) with col[i] >= v (col sorted ascending);
-  /// `end` when none. Galloping + block count; O(log d) from `begin`.
-  size_t (*seek_ge)(const Value* col, size_t begin, size_t end, Value v);
-  /// First i in (pos, end) with col[i] != col[pos]; `end` when the run
-  /// covers the suffix. col sorted ascending, pos < end.
-  size_t (*run_end)(const Value* col, size_t pos, size_t end);
   /// Decodes rows [first, first + n) of a packed pool into `out`
   /// (row-major, n * arity values). `words` must carry the pool's pad
   /// word; zero-width columns never touch memory.
@@ -73,14 +67,6 @@ struct KernelTable {
 extern const KernelTable* g_active;
 
 }  // namespace detail
-
-inline size_t SeekGE(const Value* col, size_t begin, size_t end, Value v) {
-  return detail::g_active->seek_ge(col, begin, end, v);
-}
-
-inline size_t RunEnd(const Value* col, size_t pos, size_t end) {
-  return detail::g_active->run_end(col, pos, end);
-}
 
 inline void UnpackRows(const uint64_t* words, const PackedColSpec* cols,
                        int arity, size_t row_bits, size_t first, size_t n,

@@ -25,9 +25,7 @@ Level DetectImpl() {
   return Level::kNEON;
 #elif defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
-  if (__builtin_cpu_supports("sse4.2")) return Level::kSSE42;
-  return Level::kScalar;
+  return __builtin_cpu_supports("avx2") ? Level::kAVX2 : Level::kScalar;
 #else
   return Level::kScalar;
 #endif
@@ -49,17 +47,10 @@ Level Detected() {
 Level Active() { return g_active_level; }
 
 Level SetLevel(Level level) {
-  Level detected = Detected();
-  // Clamp to what the CPU can run. Levels are per-architecture, so an
-  // off-architecture request (e.g. kNEON on x86) also falls back to the
-  // detected best rather than crashing on illegal instructions.
-  bool runnable = level == Level::kScalar || level == detected ||
-                  (static_cast<int>(level) < static_cast<int>(detected) &&
-                   level != Level::kNEON);
-#if defined(__aarch64__)
-  runnable = level == Level::kScalar || level == Level::kNEON;
-#endif
-  if (!runnable) level = detected;
+  // Clamp to what the CPU can run: the scalar twins or the detected vector
+  // level. An off-architecture request (e.g. kNEON on x86) also falls back
+  // to the detected level rather than crashing on illegal instructions.
+  if (level != Level::kScalar) level = Detected();
   detail::g_active = detail::TableFor(level);
   g_active_level = level;
   return level;
@@ -67,24 +58,13 @@ Level SetLevel(Level level) {
 
 std::vector<Level> SupportedLevels() {
   std::vector<Level> levels = {Level::kScalar};
-  Level detected = Detected();
-#if defined(__aarch64__)
-  if (detected == Level::kNEON) levels.push_back(Level::kNEON);
-#else
-  if (static_cast<int>(detected) >= static_cast<int>(Level::kSSE42)) {
-    levels.push_back(Level::kSSE42);
-  }
-  if (static_cast<int>(detected) >= static_cast<int>(Level::kAVX2)) {
-    levels.push_back(Level::kAVX2);
-  }
-#endif
+  if (Detected() != Level::kScalar) levels.push_back(Detected());
   return levels;
 }
 
 const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSSE42: return "sse4.2";
     case Level::kAVX2: return "avx2";
     case Level::kNEON: return "neon";
   }

@@ -1,11 +1,12 @@
 // Runtime CPU capability detection and dispatch control for the SIMD
 // kernel layer (simd/kernels.h).
 //
-// The library ships one binary with several implementations of each hot
-// kernel (AVX2 / SSE4.2 on x86-64, NEON on aarch64, plus a portable scalar
-// twin) compiled via per-function target attributes, so no global -mavx2
-// flag is needed and the binary still runs on hardware without the fast
-// paths. The dispatch level is resolved ONCE at startup:
+// The library ships one binary with two implementations of each hot kernel
+// (AVX2 on x86-64 or NEON on aarch64, plus a portable scalar twin)
+// compiled via per-function target attributes, so no global -mavx2 flag is
+// needed and the binary still runs on hardware without the fast path (an
+// x86-64 CPU without AVX2 runs the scalar twins). The dispatch level is
+// resolved ONCE at startup:
 //
 //   * Detected()  — the best level the running CPU supports, after applying
 //                   the CQC_FORCE_SCALAR=1 environment override (ops /
@@ -28,13 +29,12 @@
 namespace cqc {
 namespace simd {
 
-/// Dispatch levels, ordered by preference within an architecture. A level
-/// is meaningful only on its architecture (kNEON never appears on x86).
+/// Dispatch levels. A vector level is meaningful only on its architecture
+/// (kNEON never appears on x86, kAVX2 never on aarch64).
 enum class Level : int {
   kScalar = 0,
-  kSSE42 = 1,
-  kAVX2 = 2,
-  kNEON = 3,
+  kAVX2 = 1,
+  kNEON = 2,
 };
 
 /// Best level the running CPU supports (cached; applies CQC_FORCE_SCALAR).
@@ -47,11 +47,11 @@ Level Active();
 /// the level actually in effect. Test hook — single-threaded callers only.
 Level SetLevel(Level level);
 
-/// Every level runnable on this machine, ascending (always starts with
-/// kScalar; ends with Detected()). Differential tests sweep this.
+/// Every level runnable on this machine, ascending: kScalar, then
+/// Detected() when it is a vector level. Differential tests sweep this.
 std::vector<Level> SupportedLevels();
 
-/// Human-readable name ("scalar", "sse4.2", "avx2", "neon").
+/// Human-readable name ("scalar", "avx2", "neon").
 const char* LevelName(Level level);
 
 }  // namespace simd

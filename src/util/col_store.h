@@ -1,11 +1,11 @@
 // ColStore<T>: one flat column that either OWNS a std::vector<T> or BORROWS
-// a read-only span of externally managed memory (an mmap'ed rep file).
+// a read-only span of externally managed memory (a loaded rep file).
 //
 // The serving structures (DelayBalancedTree, HeavyDictionary,
 // PackedTuplePool) are struct-of-arrays over columns exactly like their
-// on-disk blocks. A heap load copies each block into an owned vector; a
-// zero-copy load points the column straight into the mapping. ColStore
-// unifies the two behind one accessor surface so the hot paths stay
+// on-disk blocks. A build fills owned vectors; a load points each column
+// straight into the rep file's bytes. ColStore unifies the two behind one
+// accessor surface so the hot paths stay
 // branch-free: the data pointer and size are cached members, read access
 // is a plain indexed load regardless of mode.
 //
@@ -13,10 +13,10 @@
 //   * Read access (data/size/operator[]/iterators) is always valid.
 //   * Mutation (push_back/resize/assign/clear/mutable_data) is owned-mode
 //     only and CHECK-fails on a borrowed column — a borrowed column aliases
-//     a PROT_READ mapping, so a write would fault anyway; the CHECK turns
-//     that into a diagnosable contract violation.
+//     a read-only rep file (a PROT_READ mapping, where a write would fault
+//     anyway); the CHECK turns that into a diagnosable contract violation.
 //   * A borrowed column does NOT keep its backing alive. The owner of the
-//     mapping (core/rep_file.h held by the CompressedRep) must outlive
+//     file (core/rep_file.h held by the CompressedRep) must outlive
 //     every structure borrowing from it.
 //   * Copying deep-copies an owned column and aliases a borrowed one
 //     (both copies then borrow the same backing).
@@ -86,7 +86,7 @@ class ColStore {
   /// Logical payload bytes (both modes).
   size_t ByteSize() const { return size_ * sizeof(T); }
   /// Heap footprint: allocation for owned columns, 0 for borrowed ones
-  /// (the pages belong to the mapping and are charged via the RepFile).
+  /// (the bytes belong to the rep file and are charged via the RepFile).
   size_t MemoryBytes() const {
     return borrowed_ ? 0 : own_.capacity() * sizeof(T);
   }

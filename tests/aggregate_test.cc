@@ -291,8 +291,9 @@ TEST(AggregateSerialization, TreeAnnotationsSurviveRoundTrip) {
   ASSERT_TRUE(SaveCompressedRep(*orig, path).ok());
 
   for (bool mmap : {false, true}) {
-    auto loaded = mmap ? MmapCompressedRep(view, db, path)
-                       : LoadCompressedRep(view, db, path);
+    auto loaded = LoadCompressedRep(
+        view, db, path, nullptr,
+        mmap ? RepFile::Mode::kMap : RepFile::Mode::kRead);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
     EXPECT_TRUE(loaded.value()->has_aggregates());
     EXPECT_EQ(loaded.value()->stats().agg_bytes, orig->stats().agg_bytes);
@@ -325,8 +326,9 @@ TEST(AggregateSerialization, DictionaryAnnotationsSurviveRoundTrip) {
       InterestingBoundValuations(view, db);
 
   for (bool mmap : {false, true}) {
-    auto loaded = mmap ? MmapCompressedRep(view, db, path)
-                       : LoadCompressedRep(view, db, path);
+    auto loaded = LoadCompressedRep(
+        view, db, path, nullptr,
+        mmap ? RepFile::Mode::kMap : RepFile::Mode::kRead);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
     EXPECT_EQ(loaded.value()->has_aggregates(), orig->has_aggregates());
     for (const BoundValuation& vb : requests) {
@@ -377,7 +379,8 @@ TEST(AggregateSerialization, OldMagicRejected) {
     std::fclose(f);
   }
   EXPECT_FALSE(LoadCompressedRep(view, db, path).ok());
-  EXPECT_FALSE(MmapCompressedRep(view, db, path).ok());
+  EXPECT_FALSE(
+      LoadCompressedRep(view, db, path, nullptr, RepFile::Mode::kMap).ok());
   std::remove(path.c_str());
 }
 

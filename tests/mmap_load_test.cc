@@ -1,11 +1,16 @@
-// Heap-vs-mmap differential suite: the zero-copy loader must be
-// observationally identical to the heap loader on every enumeration API —
+// Read-vs-map differential suite: a rep loaded in RepFile::Mode::kMap
+// (zero-copy mmap) must be observationally identical to one loaded in
+// RepFile::Mode::kRead (aligned heap buffer) on every enumeration API —
 // Answer, AnswerRange, NextBatch, Resume, AnswerExists — across the
-// standard view families, and a save -> mmap-load -> save round trip must
-// reproduce the file byte for byte. Plus RepFile unit coverage and a
-// concurrent-probe smoke test for the lazily built dictionary slots.
+// standard view families, and a save -> load -> save round trip must
+// reproduce the file byte for byte in both modes. Plus RepFile unit
+// coverage of both modes and a concurrent-probe smoke test for the lazily
+// built dictionary slots.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -109,15 +114,23 @@ void RunFamily(const std::string& name, const AdornedView& view,
   const std::string path = TempPath(name + ".cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*built.value(), path).ok());
 
-  auto heap = LoadCompressedRep(view, db, path);
+  auto heap = LoadCompressedRep(view, db, path, nullptr, RepFile::Mode::kRead);
   ASSERT_TRUE(heap.ok()) << heap.status().message();
-  auto mapped = MmapCompressedRep(view, db, path);
+  auto mapped = LoadCompressedRep(view, db, path, nullptr, RepFile::Mode::kMap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-  EXPECT_EQ(heap.value()->stats().mapped_bytes, 0u);
-  EXPECT_EQ(heap.value()->backing(), nullptr);
-  EXPECT_NE(mapped.value()->backing(), nullptr);
-  if (mapped.value()->stats().tree_nodes > 0)
+  // Read mode: a heap-buffer backing, charged in full — at least every
+  // payload byte the rep borrows from it.
+  ASSERT_NE(heap.value()->backing(), nullptr);
+  EXPECT_FALSE(heap.value()->backing()->mapped());
+  EXPECT_GE(heap.value()->ResidentBytes(), heap.value()->stats().mapped_bytes);
+  EXPECT_GE(heap.value()->ResidentBytes(), heap.value()->backing()->size());
+  EXPECT_EQ(heap.value()->stats().mapped_bytes,
+            mapped.value()->stats().mapped_bytes);
+  ASSERT_NE(mapped.value()->backing(), nullptr);
+  EXPECT_TRUE(mapped.value()->backing()->mapped());
+  if (mapped.value()->stats().tree_nodes > 0) {
     EXPECT_GT(mapped.value()->stats().mapped_bytes, 0u);
+  }
   // Both loaders agree with the builder on the structural stats.
   EXPECT_EQ(mapped.value()->stats().tree_nodes,
             built.value()->stats().tree_nodes);
@@ -126,12 +139,14 @@ void RunFamily(const std::string& name, const AdornedView& view,
 
   ExpectIdenticalServing(view, db, *heap.value(), *mapped.value());
 
-  // The mapped rep must serialize back to the identical file.
-  const std::string resaved = TempPath(name + "_resave.cqcrep");
-  ASSERT_TRUE(SaveCompressedRep(*mapped.value(), resaved).ok());
+  // Both loaded reps must serialize back to the identical file.
   const std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes, ReadFileBytes(resaved));
+  const std::string resaved = TempPath(name + "_resave.cqcrep");
+  for (const CompressedRep* rep : {heap.value().get(), mapped.value().get()}) {
+    ASSERT_TRUE(SaveCompressedRep(*rep, resaved).ok());
+    EXPECT_EQ(bytes, ReadFileBytes(resaved));
+  }
 }
 
 TEST(MmapLoadTest, TriangleBoundAcrossTaus) {
@@ -177,16 +192,24 @@ TEST(MmapLoadTest, BooleanView) {
   ASSERT_TRUE(rep.ok());
   const std::string path = TempPath("mmap_boolean_probe.cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
-  auto mapped = MmapCompressedRep(view.value(), db, path);
+  auto mapped =
+      LoadCompressedRep(view.value(), db, path, nullptr, RepFile::Mode::kMap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().message();
   EXPECT_TRUE(mapped.value()->AnswerExists({1, 2}));
   EXPECT_FALSE(mapped.value()->AnswerExists({1, 4}));
 }
 
+constexpr RepFile::Mode kModes[] = {RepFile::Mode::kRead,
+                                    RepFile::Mode::kMap};
+
+const char* ModeName(RepFile::Mode mode) {
+  return mode == RepFile::Mode::kMap ? "map" : "read";
+}
+
 TEST(MmapLoadTest, ConcurrentProbesOnFreshMapping) {
-  // The mapped dictionary builds its probe slots lazily on the first
-  // FindValuation (std::call_once): hammer a fresh mapping from several
-  // threads at once and require every stream to be correct.
+  // A loaded dictionary builds its probe slots lazily on the first
+  // FindValuation (std::call_once): hammer a fresh load in each mode from
+  // several threads at once and require every stream to be correct.
   Database db;
   MakeRandomGraph(db, "R", 12, 60, true, 9);
   AdornedView view = TriangleView("bfb");
@@ -196,22 +219,25 @@ TEST(MmapLoadTest, ConcurrentProbesOnFreshMapping) {
   ASSERT_TRUE(rep.ok());
   const std::string path = TempPath("mmap_concurrent.cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
-  auto mapped = MmapCompressedRep(view, db, path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-
   const std::vector<BoundValuation> vbs = InterestingBoundValuations(view, db);
-  std::vector<std::vector<std::vector<Tuple>>> got(4);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (const BoundValuation& vb : vbs)
-        got[t].push_back(CollectAll(*mapped.value()->Answer(vb)));
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (size_t i = 0; i < vbs.size(); ++i) {
-    const std::vector<Tuple> expect = OracleAnswer(view, db, vbs[i]);
-    for (int t = 0; t < 4; ++t) EXPECT_EQ(got[t][i], expect);
+
+  for (RepFile::Mode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    auto loaded = LoadCompressedRep(view, db, path, nullptr, mode);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    std::vector<std::vector<std::vector<Tuple>>> got(4);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (const BoundValuation& vb : vbs)
+          got[t].push_back(CollectAll(*loaded.value()->Answer(vb)));
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (size_t i = 0; i < vbs.size(); ++i) {
+      const std::vector<Tuple> expect = OracleAnswer(view, db, vbs[i]);
+      for (int t = 0; t < 4; ++t) EXPECT_EQ(got[t][i], expect);
+    }
   }
 }
 
@@ -223,28 +249,42 @@ TEST(MmapLoadTest, ResidentBytesAccounting) {
   copt.tau = 2.0;
   auto rep = CompressedRep::Build(view, db, copt);
   ASSERT_TRUE(rep.ok());
-  // Built and heap-loaded reps: resident == logical total.
+  // Built reps: resident == logical total.
   EXPECT_EQ(rep.value()->ResidentBytes(), rep.value()->stats().TotalBytes());
   const std::string path = TempPath("mmap_resident.cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
-  auto mapped = MmapCompressedRep(view, db, path);
+
+  // Read mode: the owned share plus the whole heap buffer.
+  auto read = LoadCompressedRep(view, db, path, nullptr, RepFile::Mode::kRead);
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  const auto& rstats = read.value()->stats();
+  EXPECT_EQ(read.value()->ResidentBytes(),
+            rstats.TotalBytes() - rstats.mapped_bytes +
+                read.value()->backing()->size());
+
+  // Map mode: the borrowed share is bounded by the logical total, and the
+  // charge by the owned share plus the file's resident pages.
+  auto mapped = LoadCompressedRep(view, db, path, nullptr, RepFile::Mode::kMap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-  // Mapped reps: the heap share is strictly below the logical total, and
-  // the mapped share is bounded by the file's resident pages.
   const auto& stats = mapped.value()->stats();
+  EXPECT_EQ(stats.mapped_bytes, rstats.mapped_bytes);
   EXPECT_LE(stats.mapped_bytes, stats.TotalBytes());
   EXPECT_LE(mapped.value()->ResidentBytes(),
             stats.TotalBytes() + mapped.value()->backing()->size());
 }
 
 TEST(RepFileTest, OpenErrorsAndEmptyFiles) {
-  EXPECT_FALSE(RepFile::Open(TempPath("repfile_missing.bin")).ok());
   const std::string empty = TempPath("repfile_empty.bin");
   std::ofstream(empty, std::ios::binary).flush();
-  auto opened = RepFile::Open(empty);
-  ASSERT_TRUE(opened.ok()) << opened.status().message();
-  EXPECT_EQ(opened.value()->size(), 0u);
-  EXPECT_EQ(opened.value()->ResidentBytes(), 0u);
+  for (RepFile::Mode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    EXPECT_FALSE(RepFile::Open(TempPath("repfile_missing.bin"), mode).ok());
+    auto opened = RepFile::Open(empty, mode);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    EXPECT_EQ(opened.value()->size(), 0u);
+    EXPECT_EQ(opened.value()->ResidentBytes(), 0u);
+    EXPECT_FALSE(opened.value()->mapped());
+  }
 }
 
 TEST(RepFileTest, MapsBytesFaithfully) {
@@ -252,15 +292,68 @@ TEST(RepFileTest, MapsBytesFaithfully) {
   std::string payload;
   for (int i = 0; i < 10000; ++i) payload.push_back((char)(i * 131 % 251));
   std::ofstream(path, std::ios::binary) << payload;
-  auto opened = RepFile::Open(path);
+  for (RepFile::Mode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    auto opened = RepFile::Open(path, mode);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    const RepFile& f = *opened.value();
+    ASSERT_EQ(f.size(), payload.size());
+    EXPECT_EQ(f.mapped(), mode == RepFile::Mode::kMap);
+    // Loaded columns are borrowed in place: the base must be 64-byte
+    // aligned in both modes.
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(f.data()) % 64, 0u);
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(f.data()), f.size()),
+              payload);
+    if (f.mapped()) {
+      // Touching every byte makes the mapping resident, never beyond the
+      // file.
+      EXPECT_LE(f.ResidentBytes(), f.size() + 4096);
+    } else {
+      EXPECT_EQ(f.ResidentBytes(), f.size());
+    }
+  }
+}
+
+#if defined(__linux__)
+TEST(RepFileTest, MapModeHoldsNoFd) {
+  // The mapping keeps the file alive, so a mapped handle (and every cached
+  // snapshot built on one) must not pin a descriptor.
+  const std::string path = TempPath("repfile_fd.bin");
+  std::ofstream(path, std::ios::binary) << std::string(8192, 'x');
+  auto open_fds = [] {
+    size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+      (void)e;
+      ++n;
+    }
+    return n;
+  };
+  const size_t before = open_fds();
+  auto opened = RepFile::Open(path, RepFile::Mode::kMap);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
-  ASSERT_EQ(opened.value()->size(), payload.size());
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(opened.value()->data()),
-                        opened.value()->size()),
-            payload);
-  // Touching every byte makes the mapping resident, never beyond the file.
-  EXPECT_LE(opened.value()->ResidentBytes(),
-            opened.value()->size() + 4096);
+  ASSERT_TRUE(opened.value()->mapped());
+  EXPECT_EQ(open_fds(), before);
+}
+#endif
+
+TEST(RepFileTest, ReadModeOutlivesTheFile) {
+  // A read-mode handle owns its bytes: deleting the file after the open
+  // must not disturb a rep served from it.
+  Database db;
+  MakeRandomGraph(db, "R", 12, 60, true, 9);
+  AdornedView view = TriangleView("bfb");
+  CompressedRepOptions copt;
+  copt.tau = 2.0;
+  auto rep = CompressedRep::Build(view, db, copt);
+  ASSERT_TRUE(rep.ok());
+  const std::string path = TempPath("repfile_unlinked.cqcrep");
+  ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
+  auto read = LoadCompressedRep(view, db, path, nullptr, RepFile::Mode::kRead);
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  for (const BoundValuation& vb : InterestingBoundValuations(view, db))
+    EXPECT_EQ(CollectAll(*read.value()->Answer(vb)),
+              OracleAnswer(view, db, vb));
 }
 
 }  // namespace

@@ -141,10 +141,12 @@ TEST(SerializationTest, DetectsGarbageFiles) {
   AdornedView view = TriangleView("bfb");
   const std::string path = TempPath("garbage.cqcrep");
   std::ofstream(path) << "not a rep file at all";
-  EXPECT_FALSE(LoadCompressedRep(view, db, path).ok());
-  EXPECT_FALSE(LoadCompressedRep(view, db, TempPath("missing.cqcrep")).ok());
-  EXPECT_FALSE(MmapCompressedRep(view, db, path).ok());
-  EXPECT_FALSE(MmapCompressedRep(view, db, TempPath("missing.cqcrep")).ok());
+  for (RepFile::Mode mode : {RepFile::Mode::kRead, RepFile::Mode::kMap}) {
+    EXPECT_FALSE(LoadCompressedRep(view, db, path, nullptr, mode).ok());
+    EXPECT_FALSE(LoadCompressedRep(view, db, TempPath("missing.cqcrep"),
+                                   nullptr, mode)
+                     .ok());
+  }
 }
 
 TEST(SerializationTest, DetectsTruncation) {
@@ -185,18 +187,20 @@ class CorruptInputTest : public ::testing::Test {
     ASSERT_FALSE(bytes_.empty());
   }
 
-  // Writes `data` to a scratch file and tries BOTH loaders. The heap
-  // reader and the zero-copy mmap reader share the validation pipeline,
-  // so they must agree on whether a file is acceptable — and neither may
+  // Writes `data` to a scratch file and loads it in BOTH RepFile modes.
+  // One loader validates either way, so the read-mode heap buffer and the
+  // mapping must agree on whether a file is acceptable — and neither may
   // crash on any input.
   Status TryLoad(const std::string& data) {
     const std::string p = TempPath("corrupt_case.cqcrep");
     std::ofstream(p, std::ios::binary) << data;
-    auto loaded = LoadCompressedRep(*view_, db_, p);
-    auto mapped = MmapCompressedRep(*view_, db_, p);
+    auto loaded =
+        LoadCompressedRep(*view_, db_, p, nullptr, RepFile::Mode::kRead);
+    auto mapped =
+        LoadCompressedRep(*view_, db_, p, nullptr, RepFile::Mode::kMap);
     EXPECT_EQ(loaded.ok(), mapped.ok())
-        << "loader disagreement: heap="
-        << (loaded.ok() ? "ok" : loaded.status().message()) << " mmap="
+        << "mode disagreement: read="
+        << (loaded.ok() ? "ok" : loaded.status().message()) << " map="
         << (mapped.ok() ? "ok" : mapped.status().message());
     return loaded.ok() ? Status::Ok() : loaded.status();
   }

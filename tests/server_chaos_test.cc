@@ -85,8 +85,8 @@ class ServerChaosTest : public ::testing::Test {
     ReadCoalescer::SetDrainHoldForTest(std::chrono::milliseconds(0));
   }
 
-  void StartServer(ServerOptions opts = {}) {
-    db_ = MakeChaosDb();
+  void StartServer(ServerOptions opts = {}, Database db = MakeChaosDb()) {
+    db_ = std::move(db);
     opts.port = 0;
     // Churn > 0 steers the planner to the updatable structure, which is
     // what gives wire mutations somewhere to land (docs/serving.md).
@@ -260,6 +260,133 @@ TEST_F(ServerChaosTest, AdmissionCapCountsParkedWaiters) {
   EXPECT_EQ(rejected, 1u);
   EXPECT_GE(server_->stats().admission_rejected, 1u);
   for (auto& c : clients) c.Close();
+  ExpectCleanShutdown();
+}
+
+TEST_F(ServerChaosTest, ReadAfterAcknowledgedWriteNeverJoinsAnOlderDrain) {
+  // docs/serving.md#mutations: a write is visible to the tenant's
+  // subsequent queries. Conn A's read leads a drain and holds just after
+  // Answer() (its snapshot point); conn B then writes a row that changes
+  // A's answer, gets OK, and issues the SAME read. Updatable entries
+  // absorb writes in place, so B's read must not attach to A's pre-write
+  // drain: it has to see its own row.
+  ServerOptions opts;
+  opts.worker_threads = 4;
+  StartServer(opts);
+  WireRequest req;
+  req.view = kView;
+  req.body = "? 1";
+  req.deadline_ms = 30'000;
+  req.request_id = 1;
+  WireResponse resp;
+  Client a, b;
+  ASSERT_TRUE(a.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(b.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(a.Call(req, &resp).ok());  // warm: build outside the hold
+  ASSERT_EQ(resp.code, StatusCode::kOk) << resp.message;
+  ASSERT_EQ(resp.num_rows(), 12u);
+
+  ReadCoalescer::SetDrainHoldForTest(std::chrono::milliseconds(1500));
+  const uint64_t frames_before = server_->stats().frames_received;
+  WireResponse resp_a;
+  Status status_a = Status::Ok();
+  std::thread reader_a([&] {
+    WireRequest r = req;
+    r.request_id = 2;
+    status_a = a.Call(r, &resp_a);
+  });
+  // A's frame is in; give its worker time to reach the hold.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->stats().frames_received == frames_before &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  WireRequest w = req;
+  w.request_id = 3;
+  w.body = "+ R2 1 50";  // adds the row (1, 50) to "? 1"
+  WireResponse write_resp;
+  const Status write_status = b.Call(w, &write_resp);
+  WireRequest r = req;
+  r.request_id = 4;
+  const Status read_status = b.Call(r, &resp);
+  reader_a.join();
+  ReadCoalescer::SetDrainHoldForTest(std::chrono::milliseconds(0));
+
+  ASSERT_TRUE(write_status.ok()) << write_status.message();
+  ASSERT_EQ(write_resp.code, StatusCode::kOk) << write_resp.message;
+  ASSERT_TRUE(read_status.ok()) << read_status.message();
+  ASSERT_EQ(resp.code, StatusCode::kOk) << resp.message;
+  EXPECT_EQ(resp.num_rows(), 13u) << "B's read was served pre-write rows";
+  bool saw_write = false;
+  for (size_t i = 0; i + 1 < resp.values.size(); i += 2)
+    saw_write |= resp.values[i] == 1 && resp.values[i + 1] == 50;
+  EXPECT_TRUE(saw_write);
+  // A's read raced the write; either snapshot is a correct answer.
+  ASSERT_TRUE(status_a.ok()) << status_a.message();
+  EXPECT_EQ(resp_a.code, StatusCode::kOk) << resp_a.message;
+  a.Close();
+  b.Close();
+  ExpectCleanShutdown();
+}
+
+TEST_F(ServerChaosTest, OverCapAnswerFailsCleanlyAndKeepsTheConnection) {
+  // "? 1" is the product of 60 y, 60 z and 60 w partners of x = 1:
+  // 216,000 rows of arity 3, a 5.2 MB values section — past the 4 MiB
+  // payload cap every client's FrameReader enforces. The server must
+  // refuse it with a coded error, not send a frame its own client
+  // rejects, and keep the connection; "? 2" answers one row.
+  constexpr char kStar[] = "Q^bfff(x,y,z,w) = R1(x,y), R2(x,z), R3(x,w)";
+  Database db;
+  for (const char* name : {"R1", "R2", "R3"}) {
+    std::vector<Tuple> r;
+    for (Value v = 1; v <= 60; ++v) r.push_back({1, v});
+    r.push_back({2, 1000});
+    AddRelation(db, name, 2, r);
+  }
+  ServerOptions opts;
+  opts.worker_threads = 2;
+  StartServer(opts, std::move(db));
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port(),
+                             std::chrono::milliseconds(60'000))
+                  .ok());
+  WireRequest req;
+  req.view = kStar;
+  req.deadline_ms = 60'000;
+  WireResponse resp;
+  uint64_t id = 0;
+  auto expect_cap_error = [&](const std::string& body, uint8_t flags) {
+    req.flags = flags;
+    req.request_id = ++id;
+    req.body = body;
+    ASSERT_TRUE(client.Call(req, &resp).ok())
+        << body << ": the over-cap answer killed the connection";
+    EXPECT_EQ(resp.code, StatusCode::kError) << body;
+    EXPECT_NE(resp.message.find("frame cap"), std::string::npos)
+        << resp.message;
+    EXPECT_EQ(resp.num_rows(), 0u);
+  };
+  auto expect_small = [&](const std::string& body,
+                          const std::vector<uint64_t>& want) {
+    req.flags = 0;
+    req.request_id = ++id;
+    req.body = body;
+    ASSERT_TRUE(client.Call(req, &resp).ok()) << body;
+    ASSERT_EQ(resp.code, StatusCode::kOk) << resp.message;
+    EXPECT_EQ(resp.values, want) << body;
+  };
+  expect_cap_error("? 1", 0);
+  expect_small("? 2", {1000, 1000, 1000});
+  expect_cap_error("? 1", kFlagNoCoalesce);
+  expect_small("? 2", {1000, 1000, 1000});
+  // Grouped aggregates answer through the same frames: 216,000
+  // (y, z, w, count) groups pass the cap too.
+  expect_cap_error("agg count 3 1", 0);
+  expect_small("agg count 1 2", {1000, 1});
+  client.Close();
   ExpectCleanShutdown();
 }
 

@@ -66,91 +66,6 @@ TEST_F(SimdKernelsTest, DetectionAndLevelClamping) {
   EXPECT_EQ(got, simd::Active());
 }
 
-// Sorted adversarial columns: long duplicate runs, 1-element runs,
-// near-miss tails, extreme values, and random mixtures.
-std::vector<std::vector<Value>> AdversarialColumns() {
-  std::vector<std::vector<Value>> cols;
-  cols.push_back({});                     // empty
-  cols.push_back({7});                    // singleton
-  cols.push_back(std::vector<Value>(300, 42));  // one giant run
-  {
-    std::vector<Value> c;  // runs of varied lengths incl. 1
-    for (size_t len : {1, 2, 3, 1, 5, 17, 1, 64, 257, 1, 33})
-      c.insert(c.end(), len, c.empty() ? 0 : c.back() + 1);
-    cols.push_back(std::move(c));
-  }
-  {
-    std::vector<Value> c(500);  // strictly increasing (all runs length 1)
-    for (size_t i = 0; i < c.size(); ++i) c[i] = i * 3 + 1;
-    cols.push_back(std::move(c));
-  }
-  {
-    std::vector<Value> c;  // near-miss tail: v-1 repeated, then v, then max
-    c.insert(c.end(), 130, 999);
-    c.push_back(1000);
-    c.insert(c.end(), 40, UINT64_MAX - 1);
-    c.insert(c.end(), 17, UINT64_MAX);
-    cols.push_back(std::move(c));
-  }
-  Rng rng(123);
-  for (size_t n : {9, 31, 100, 1000, 4097}) {
-    std::vector<Value> c(n);  // random with duplicates, then sorted
-    for (auto& v : c) v = rng.Uniform(n / 2 + 1) * 7;
-    std::sort(c.begin(), c.end());
-    cols.push_back(std::move(c));
-  }
-  return cols;
-}
-
-TEST_F(SimdKernelsTest, SeekGEMatchesLowerBoundEverywhere) {
-  const auto columns = AdversarialColumns();
-  Rng rng(7);
-  for (simd::Level level : simd::SupportedLevels()) {
-    ASSERT_EQ(simd::SetLevel(level), level);
-    for (const auto& col : columns) {
-      const size_t end = col.size();
-      std::vector<Value> probes = {0, 1, UINT64_MAX, UINT64_MAX - 1};
-      for (int i = 0; i < 40 && !col.empty(); ++i) {
-        const Value v = col[rng.Uniform(end)];
-        probes.push_back(v);
-        probes.push_back(v == 0 ? 0 : v - 1);
-        probes.push_back(v == UINT64_MAX ? v : v + 1);
-      }
-      std::vector<size_t> begins = {0};
-      if (end > 0) begins.insert(begins.end(), {end / 2, end - 1, end});
-      for (size_t begin : begins) {
-        for (Value v : probes) {
-          const size_t want =
-              std::lower_bound(col.data() + begin, col.data() + end, v) -
-              col.data();
-          EXPECT_EQ(simd::SeekGE(col.data(), begin, end, v), want)
-              << "level=" << simd::LevelName(level) << " n=" << end
-              << " begin=" << begin << " v=" << v;
-        }
-      }
-    }
-  }
-}
-
-TEST_F(SimdKernelsTest, RunEndMatchesScalarReference) {
-  const auto columns = AdversarialColumns();
-  for (simd::Level level : simd::SupportedLevels()) {
-    ASSERT_EQ(simd::SetLevel(level), level);
-    for (const auto& col : columns) {
-      const size_t end = col.size();
-      // Every position, not just run heads: RunEnd's contract is
-      // "first i in (pos, end) with col[i] != col[pos]".
-      for (size_t pos = 0; pos < end; ++pos) {
-        size_t want = pos + 1;
-        while (want < end && col[want] == col[pos]) ++want;
-        ASSERT_EQ(simd::RunEnd(col.data(), pos, end), want)
-            << "level=" << simd::LevelName(level) << " n=" << end
-            << " pos=" << pos;
-      }
-    }
-  }
-}
-
 TEST_F(SimdKernelsTest, UnpackRowsMatchesUnpackRowRandomized) {
   Rng rng(20260808);
   const std::vector<uint32_t> width_menu = {0,  1,  3,  7,  8,  13, 21,

@@ -202,8 +202,9 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<AnswerRep> rep;
   if (!load_path.empty()) {
-    auto loaded = load_mmap ? MmapCompressedRep(view, db, load_path, aux)
-                            : LoadCompressedRep(view, db, load_path, aux);
+    auto loaded = LoadCompressedRep(
+        view, db, load_path, aux,
+        load_mmap ? RepFile::Mode::kMap : RepFile::Mode::kRead);
     if (!loaded.ok()) {
       std::fprintf(stderr, "load: %s\n", loaded.status().message().c_str());
       return 1;
