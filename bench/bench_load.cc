@@ -12,8 +12,11 @@
 //
 // The gate (exit 1 on failure): mmap open must be at least
 // CQC_LOAD_MIN_SPEEDUP (default 50) times faster than the read-mode load on a
-// >= 100 MB file. Resident-byte accounting is reported alongside: a fresh
-// mapping should charge far less than the file until probes touch pages.
+// >= 100 MB file. Resident bytes are reported alongside, split into the
+// mapping's resident share and the bytes the rep owns outside the file.
+// The file was just written, so its pages are already in the page cache
+// and count as resident: this bench cannot show a cold mapping charging
+// less than the file.
 //
 // Env knobs: CQC_LOAD_ROWS (default 4,600,000 -> ~110 MB file),
 // CQC_LOAD_MIN_SPEEDUP (default 50).
@@ -138,7 +141,8 @@ int main() {
     mmap_open_s = std::min(mmap_open_s, s);
     mmap_rep = std::move(mapped).value();
   }
-  const size_t mmap_resident_after_open = mmap_rep->ResidentBytes();
+  const size_t mapped_resident_after_open =
+      mmap_rep->backing()->ResidentBytes();
 
   auto first_probe_us = [&](const CompressedRep& rep) {
     WallTimer t;
@@ -151,7 +155,10 @@ int main() {
   };
   const double heap_probe_us = first_probe_us(*heap_rep);
   const double mmap_probe_us = first_probe_us(*mmap_rep);
-  const size_t mmap_resident_after_probe = mmap_rep->ResidentBytes();
+  const size_t mapped_resident_after_probe =
+      mmap_rep->backing()->ResidentBytes();
+  const size_t mmap_owned_bytes =
+      mmap_rep->ResidentBytes() - mapped_resident_after_probe;
 
   const double speedup = heap_open_s / mmap_open_s;
   bench::Table table({"loader", "open ms", "first probe us", "resident MB"});
@@ -160,13 +167,17 @@ int main() {
                 StrFormat("%.1f", heap_rep->ResidentBytes() / 1e6)});
   table.AddRow({"mmap", StrFormat("%.2f", mmap_open_s * 1e3),
                 StrFormat("%.1f", mmap_probe_us),
-                StrFormat("%.1f", mmap_resident_after_probe / 1e6)});
+                StrFormat("%.1f", mmap_rep->ResidentBytes() / 1e6)});
   table.Print();
   std::printf("mmap speedup over heap: %.1fx (gate: >= %.0fx)\n", speedup,
               kMinSpeedup);
-  std::printf("mmap resident after open: %.2f MB of %.1f MB mapped\n",
-              mmap_resident_after_open / 1e6,
-              mmap_rep->stats().mapped_bytes / 1e6);
+  std::printf("mmap: %.2f MB of %.1f MB mapped resident after open, %.2f MB "
+              "after the probe; %.1f MB owned outside the file\n",
+              mapped_resident_after_open / 1e6,
+              mmap_rep->stats().mapped_bytes / 1e6,
+              mapped_resident_after_probe / 1e6, mmap_owned_bytes / 1e6);
+  std::printf("(the file was just written: its pages sit in the page cache, "
+              "so the mapped share reads as resident from the start)\n");
 
   report.AddRecord()
       .Set("experiment", "cold_load")
@@ -183,10 +194,13 @@ int main() {
       .Set("file_bytes", (unsigned long long)file_bytes)
       .Set("open_seconds", mmap_open_s)
       .Set("first_probe_us", mmap_probe_us)
-      .Set("resident_bytes_after_open",
-           (unsigned long long)mmap_resident_after_open)
-      .Set("resident_bytes_after_probe",
-           (unsigned long long)mmap_resident_after_probe)
+      .Set("mapped_bytes",
+           (unsigned long long)mmap_rep->stats().mapped_bytes)
+      .Set("mapped_resident_bytes_after_open",
+           (unsigned long long)mapped_resident_after_open)
+      .Set("mapped_resident_bytes_after_probe",
+           (unsigned long long)mapped_resident_after_probe)
+      .Set("owned_bytes", (unsigned long long)mmap_owned_bytes)
       .Set("speedup_vs_heap", speedup)
       .Set("gate_min_speedup", kMinSpeedup);
   report.Write();

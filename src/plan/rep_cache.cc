@@ -64,25 +64,21 @@ Result<std::shared_ptr<const CachedRep>> RepCache::GetView(
     auto fit = inflight_.find(key);
     if (fit != inflight_.end()) {
       // Single-flight: someone else is already building this entry. The
-      // wait is bounded by the waiter's own deadline and by
-      // options_.build_timeout; the build itself is NOT torn down on a
-      // waiter timeout — it finishes for whoever can still use it.
+      // wait is bounded by the waiter's own deadline; the build itself is
+      // NOT torn down on a waiter timeout — it finishes for whoever can
+      // still use it.
       ++stats_.coalesced;
       flight = fit->second;
-      auto wait_deadline = std::chrono::steady_clock::time_point::max();
-      if (options_.build_timeout.count() > 0)
-        wait_deadline = std::chrono::steady_clock::now() +
-                        options_.build_timeout;
-      if (ctx != nullptr && ctx->deadline())
-        wait_deadline = std::min(wait_deadline, *ctx->deadline());
-      const bool done = cv_.wait_until(lock, wait_deadline,
-                                       [&] { return flight->done; });
-      if (!done) {
+      const auto wait_deadline =
+          ctx != nullptr && ctx->deadline()
+              ? *ctx->deadline()
+              : std::chrono::steady_clock::time_point::max();
+      if (!cv_.wait_until(lock, wait_deadline,
+                          [&] { return flight->done; })) {
         ++stats_.waiter_timeouts;
-        if (Status s = RequestContext::Check(ctx); !s.ok()) return s;
-        return Status::Unavailable(StrFormat(
-            "timed out after %lld ms waiting for in-flight build of %s",
-            (long long)options_.build_timeout.count(), key.c_str()));
+        return Status::DeadlineExceeded(StrFormat(
+            "deadline exceeded waiting for in-flight build of %s",
+            key.c_str()));
       }
       if (flight->result != nullptr) return flight->result;
       return flight->error;

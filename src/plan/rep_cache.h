@@ -92,11 +92,6 @@ struct RepCacheOptions {
   /// outcomes are never negatively cached (they are the caller's, not the
   /// key's). 0 disables.
   std::chrono::milliseconds negative_ttl{0};
-  /// When > 0: bounds how long a coalesced waiter blocks on another
-  /// request's in-flight build (kUnavailable on expiry; the build itself
-  /// keeps running for whoever can still wait). A waiter's own
-  /// RequestContext deadline bounds the wait too, independent of this.
-  std::chrono::milliseconds build_timeout{0};
   /// When the planned structure fails to build with a transient fault
   /// (after retries), fall back to DirectEval — no build beyond per-atom
   /// indexes, answers identical — and serve degraded rather than failing

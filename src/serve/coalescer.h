@@ -33,24 +33,17 @@
 namespace cqc {
 namespace serve {
 
-/// The shared outcome of one drain. Immutable after completion; waiters
-/// hold it by shared_ptr, so a slow writer can keep reading it after the
+/// The outcome of one drain. Immutable after completion; waiters hold it
+/// by shared_ptr, so a slow writer can keep reading it after the
 /// coalescer has moved on.
 struct DrainResult {
-  Status status;                 // OK, or why every attached request failed
+  Status status;   // OK, or why every attached request failed
   uint8_t arity = 0;
-  std::vector<uint64_t> values;  // num_rows * arity, row-major (lex order)
-  std::string text;              // stats/describe payloads (no rows)
-  /// Wire-encoded values section (protocol.h EncodeValuesBody), produced
-  /// once by the drain leader; every waiter's response frame references
-  /// these bytes instead of copying `values` (which is then empty). `rows`
-  /// carries the row count the emptied vector can no longer derive.
-  std::shared_ptr<const std::string> body;
   uint32_t rows = 0;
-  size_t num_rows() const {
-    if (body) return rows;
-    return arity == 0 ? 0 : values.size() / arity;
-  }
+  /// Wire-encoded values section (protocol.h AppendValues), written by the
+  /// drain itself; every attached response frame references these bytes
+  /// instead of copying them. Null unless status is OK.
+  std::shared_ptr<const std::string> body;
 };
 
 struct CoalescerStats {

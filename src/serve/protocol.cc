@@ -94,34 +94,29 @@ std::string EncodeResponseHead(const WireResponse& resp, uint32_t num_rows,
   return out;
 }
 
-std::string EncodeValuesBody(const std::vector<uint64_t>& values) {
-  std::string out;
+void AppendValues(std::string* out, const uint64_t* v, size_t n) {
+  if (n == 0) return;
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   // The wire is little-endian, so on LE hosts the in-memory u64 array IS
-  // the encoding — one bulk copy instead of a shift loop per value (this
-  // is the hot path of every large coalesced response).
-  out.resize(values.size() * 8);
-  if (!values.empty())
-    std::memcpy(out.data(), values.data(), values.size() * 8);
+  // the encoding: one bulk append (no zero-fill of the new bytes) instead
+  // of a shift loop per value. Every response's values section comes
+  // through here.
+  out->append(reinterpret_cast<const char*>(v), n * 8);
 #else
-  out.reserve(values.size() * 8);
-  for (uint64_t v : values) AppendU64(&out, v);
+  for (size_t i = 0; i < n; ++i) AppendU64(out, v[i]);
 #endif
+}
+
+std::string EncodeValuesBody(const std::vector<uint64_t>& values) {
+  std::string out;
+  AppendValues(&out, values.data(), values.size());
   return out;
 }
 
 std::string EncodeResponseFrame(const WireResponse& resp) {
   std::string out = EncodeResponseHead(resp, (uint32_t)resp.num_rows(),
                                        resp.values.size() * 8);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  const size_t head = out.size();
-  out.resize(head + resp.values.size() * 8);
-  if (!resp.values.empty())
-    std::memcpy(out.data() + head, resp.values.data(),
-                resp.values.size() * 8);
-#else
-  for (uint64_t v : resp.values) AppendU64(&out, v);
-#endif
+  AppendValues(&out, resp.values.data(), resp.values.size());
   return out;
 }
 

@@ -85,14 +85,17 @@ struct WireResponse {
 std::string EncodeRequestFrame(const WireRequest& req);
 std::string EncodeResponseFrame(const WireResponse& resp);
 
-/// Split encoding for responses whose values section is shared across
-/// frames (coalesced drains): the head carries the length prefix, fixed
-/// header, and message of a frame whose values bytes (`body_bytes` of
-/// EncodeValuesBody output) follow as a separate buffer. `resp.values`
-/// must be empty; `num_rows` describes the shared body.
+/// Split encoding for responses whose values section is a separate buffer
+/// (the server's drains write it directly, and coalesced waiters share
+/// it): the head carries the length prefix, fixed header, and message of a
+/// frame whose `body_bytes` values bytes (AppendValues output) follow.
+/// `resp.values` is ignored; `num_rows` describes the separate body.
 std::string EncodeResponseHead(const WireResponse& resp, uint32_t num_rows,
                                size_t body_bytes);
-/// LE-encodes a values section (the bytes after msg in a response payload).
+/// Appends `n` values LE-encoded (the bytes after msg in a response
+/// payload). The one implementation of the values encoding.
+void AppendValues(std::string* out, const uint64_t* v, size_t n);
+/// AppendValues into a fresh string.
 std::string EncodeValuesBody(const std::vector<uint64_t>& values);
 
 /// Decodes one frame payload (the bytes after the length prefix).

@@ -198,7 +198,7 @@ void CqcServer::AcceptNew() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto conn = std::make_unique<Connection>(options_.max_payload_bytes);
+    auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
     conn_fds_[conn->id] = fd;
@@ -284,13 +284,13 @@ void CqcServer::HandleFrame(Connection& conn, std::string_view payload,
     conn.close_after_flush = true;  // desynced framing ≠ bad request body
     return;
   }
-  if (conn.inflight >= options_.max_pipeline_depth) {
+  if (conn.inflight >= kMaxPipelineDepth) {
     pipeline_rejected_.fetch_add(1, std::memory_order_relaxed);
     WireResponse resp;
     resp.request_id = req.request_id;
     resp.code = StatusCode::kUnavailable;
-    resp.message = StrFormat("pipeline depth %zu exceeded",
-                             options_.max_pipeline_depth);
+    resp.message =
+        StrFormat("pipeline depth %zu exceeded", kMaxPipelineDepth);
     EnqueueDirect(conn, resp);
     return;  // the connection survives; only this request is refused
   }
@@ -401,9 +401,8 @@ void CqcServer::CompleteRequest(uint64_t conn_id, WireResponse resp,
     requests_ok_.fetch_add(1, std::memory_order_relaxed);
   else
     requests_failed_.fetch_add(1, std::memory_order_relaxed);
-  std::string head = body != nullptr
-                         ? EncodeResponseHead(resp, body_rows, body->size())
-                         : EncodeResponseFrame(resp);
+  std::string head =
+      EncodeResponseHead(resp, body_rows, body ? body->size() : 0);
   {
     std::lock_guard<std::mutex> lk(ready_mu_);
     if (draining_) {
@@ -415,18 +414,18 @@ void CqcServer::CompleteRequest(uint64_t conn_id, WireResponse resp,
   Wake();
 }
 
-DrainResult CqcServer::RunQueryDrain(const CachedRep& entry, const Tuple& vb,
-                                     const RequestContext* ctx) const {
-  DrainResult out;
+std::shared_ptr<const DrainResult> CqcServer::RunQueryDrain(
+    const CachedRep& entry, const Tuple& vb, const RequestContext* ctx) const {
+  auto out = std::make_shared<DrainResult>();
   const int arity = entry.view().num_free();
   if (arity > 255) {
-    out.status = Status::Error(
+    out->status = Status::Error(
         StrFormat("view arity %d exceeds the wire limit of 255", arity));
     return out;
   }
   auto stream = entry.rep().Answer(vb, ctx);
   if (!stream.ok()) {
-    out.status = stream.status();
+    out->status = stream.status();
     return out;
   }
   // Answer() captured the structure's state; the test hold widens the
@@ -436,7 +435,7 @@ DrainResult CqcServer::RunQueryDrain(const CachedRep& entry, const Tuple& vb,
   // A boolean view (num_free 0) enumerates the empty tuple when satisfied;
   // the wire cannot carry arity-0 rows, so it travels as arity 1 / value 1.
   const int wire_arity = arity == 0 ? 1 : arity;
-  out.arity = (uint8_t)wire_arity;
+  out->arity = (uint8_t)wire_arity;
   TupleEnumerator& e = *stream.value();
   constexpr size_t kBatch = 512;
   // Slice-interleaved drain: bounded-delay enumeration means each NextBatch
@@ -446,34 +445,36 @@ DrainResult CqcServer::RunQueryDrain(const CachedRep& entry, const Tuple& vb,
   // long drain coalesces requests that arrive mid-flight instead of only
   // those already queued when it started.
   constexpr size_t kYieldEvery = 8;
+  constexpr uint64_t kSatisfied = 1;
   size_t slices = 0;
+  size_t rows = 0;
+  auto body = std::make_shared<std::string>();
   TupleBuffer batch(arity);
   for (;;) {
     batch.Clear();
     const size_t n = e.NextBatch(&batch, kBatch);
-    for (size_t j = 0; j < n; ++j) {
-      if (arity == 0) {
-        out.values.push_back(1);
-        continue;
-      }
-      const TupleSpan t = batch[j];
-      out.values.insert(out.values.end(), t.data(), t.data() + t.size());
+    // A slice is contiguous and row-major: it is appended as one block.
+    if (arity == 0) {
+      for (size_t j = 0; j < n; ++j) AppendValues(body.get(), &kSatisfied, 1);
+    } else {
+      AppendValues(body.get(), batch.data(), n * (size_t)arity);
     }
+    rows += n;
     // The response frame must fit the clients' payload cap: stop the
     // drain as soon as the values section passes it, not after.
-    if (out.values.size() > kMaxResponseValues) {
-      out.status = FrameCapError(wire_arity);
-      std::vector<uint64_t>().swap(out.values);
+    if (body->size() > kMaxResponseValues * 8) {
+      out->status = FrameCapError(wire_arity);
       return out;
     }
     if (n < kBatch) break;
     if (++slices % kYieldEvery == 0) std::this_thread::yield();
   }
-  if (Status s = e.StreamStatus(); !s.ok()) {
-    // Fail clean: a response is all of the answer or none of it. Partial
-    // rows from an aborted drain must never look like a complete result.
-    out.status = s;
-    out.values.clear();
+  // Fail clean: a response is all of the answer or none of it. Partial
+  // rows from an aborted drain must never look like a complete result.
+  out->status = e.StreamStatus();
+  if (out->status.ok()) {
+    out->rows = (uint32_t)rows;
+    out->body = std::move(body);
   }
   return out;
 }
@@ -565,6 +566,9 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
   }
   std::shared_ptr<const CachedRep> entry =
       std::move(entry_result).value();
+  // Set by responses that carry rows: the encoded values section.
+  std::shared_ptr<const std::string> body;
+  uint32_t rows = 0;
 
   switch (op.kind) {
     case ScriptOp::Kind::kStats: {
@@ -586,9 +590,10 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
         break;
       }
       // Row shape mirrors the CLI's text output: group key values, the
-      // count, and (for SUM/MIN/MAX) the folded value.
+      // count, and (for SUM/MIN/MAX) the folded value — that column is in
+      // the arity even when no group matches.
       const AggregateResult& agg = result.value();
-      const int has_value = agg.values.empty() ? 0 : 1;
+      const int has_value = op.agg.func == AggFunc::kCount ? 0 : 1;
       const int row_arity = agg.group_arity + 1 + has_value;
       if (row_arity > 255) {
         resp.code = StatusCode::kError;
@@ -601,13 +606,17 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
         break;
       }
       resp.arity = (uint8_t)row_arity;
-      resp.values.reserve(agg.num_groups() * (size_t)row_arity);
+      auto encoded = std::make_shared<std::string>();
+      encoded->reserve(agg.num_groups() * (size_t)row_arity * 8);
       for (size_t g = 0; g < agg.num_groups(); ++g) {
-        for (int c = 0; c < agg.group_arity; ++c)
-          resp.values.push_back(agg.keys[g * (size_t)agg.group_arity + c]);
-        resp.values.push_back(agg.counts[g]);
-        if (has_value) resp.values.push_back(agg.values[g]);
+        AppendValues(encoded.get(),
+                     agg.keys.data() + g * (size_t)agg.group_arity,
+                     (size_t)agg.group_arity);
+        AppendValues(encoded.get(), &agg.counts[g], 1);
+        if (has_value) AppendValues(encoded.get(), &agg.values[g], 1);
       }
+      rows = (uint32_t)agg.num_groups();
+      body = std::move(encoded);
       break;
     }
     case ScriptOp::Kind::kInsert:
@@ -636,40 +645,17 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
       break;
     }
     case ScriptOp::Kind::kQuery: {
-      const bool coalesce =
-          options_.coalesce_reads && !(req.flags & kFlagNoCoalesce);
-      if (!coalesce) {
-        DrainResult r = RunQueryDrain(*entry, op.values, ctx.get());
-        if (!r.status.ok()) {
-          resp.code = r.status.code() == StatusCode::kOk
-                          ? StatusCode::kError
-                          : r.status.code();
-          resp.message = r.status.message();
-        } else {
-          resp.arity = r.arity;
-          resp.values = std::move(r.values);
-        }
-        break;
-      }
-      // Coalesced read: key on the cached entry's identity, the tenant's
-      // write generation and the raw body, so two requests share a drain
-      // only when they hit the same structure with the same request line
-      // and no write was acknowledged in between — a read issued after a
-      // write's OK never joins a drain that may predate the write. The
-      // callback owns the response; this worker returns immediately
-      // unless it leads.
-      std::string key =
-          StrFormat("%p|%llu|", (const void*)entry.get(),
-                    (unsigned long long)tenant->write_generation.load());
-      key += req.body;
-      auto callback = [this, conn_id, tenant, ctx,
-                       request_id = req.request_id, entry](
+      // One completion for every read, private or shared: the callback
+      // owns the response, so this worker returns once it is called or
+      // parked.
+      auto complete = [this, conn_id, tenant, ctx,
+                       request_id = req.request_id](
                           std::shared_ptr<const DrainResult> r) {
         WireResponse out;
         out.request_id = request_id;
         if (Status s = RequestContext::Check(ctx.get()); !s.ok()) {
-          // The waiter's own deadline expired while it was parked; its
-          // failure code, not the leader's, is what the client sees.
+          // This request's own deadline expired (while parked, or during
+          // its own drain); its failure code is what the client sees.
           out.code = s.code();
           out.message = s.message();
         } else if (!r->status.ok()) {
@@ -682,7 +668,7 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
           out.code = s.code();
           out.message = s.message();
         } else {
-          // Byte-identical rows for every waiter: the leader encoded the
+          // Byte-identical rows for every waiter: the drain encoded the
           // values section once (r->body); this response only adds its own
           // small head, so a coalesced read costs O(1) extra copies no
           // matter how large the shared answer is.
@@ -692,17 +678,22 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
         }
         CompleteRequest(conn_id, std::move(out), tenant);
       };
-      if (coalescer_.Attach(key, std::move(callback))) {
+      if (req.flags & kFlagNoCoalesce) {
+        complete(RunQueryDrain(*entry, op.values, ctx.get()));
+        return;
+      }
+      // Coalesced read: key on the cached entry's identity, the tenant's
+      // write generation and the raw body, so two requests share a drain
+      // only when they hit the same structure with the same request line
+      // and no write was acknowledged in between — a read issued after a
+      // write's OK never joins a drain that may predate the write.
+      std::string key =
+          StrFormat("%p|%llu|", (const void*)entry.get(),
+                    (unsigned long long)tenant->write_generation.load());
+      key += req.body;
+      if (coalescer_.Attach(key, std::move(complete))) {
         // This request leads: drain once, publish to everyone attached.
-        DrainResult r = RunQueryDrain(*entry, op.values, ctx.get());
-        if (r.status.ok()) {
-          r.rows = (uint32_t)r.num_rows();
-          r.body = std::make_shared<const std::string>(
-              EncodeValuesBody(r.values));
-          std::vector<uint64_t>().swap(r.values);
-        }
-        coalescer_.Complete(key,
-                            std::make_shared<DrainResult>(std::move(r)));
+        coalescer_.Complete(key, RunQueryDrain(*entry, op.values, ctx.get()));
       }
       return;  // response delivered (or parked) via the callback
     }
@@ -710,7 +701,7 @@ void CqcServer::HandleRequest(uint64_t conn_id, WireRequest req,
     case ScriptOp::Kind::kRebuild:
       break;  // handled above
   }
-  CompleteRequest(conn_id, std::move(resp), tenant);
+  CompleteRequest(conn_id, std::move(resp), tenant, std::move(body), rows);
 }
 
 // ---------------------------------------------------------------------------

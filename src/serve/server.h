@@ -47,6 +47,10 @@
 namespace cqc {
 namespace serve {
 
+/// Requests one connection may have in flight (pipelining depth); excess
+/// frames are answered UNAVAILABLE without dispatch.
+inline constexpr size_t kMaxPipelineDepth = 64;
+
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; port() reports the bound port after Start().
@@ -56,9 +60,6 @@ struct ServerOptions {
   /// Accept cap: connections beyond this are refused with a best-effort
   /// error frame and closed (slow-loris fd exhaustion defense).
   size_t max_sessions = 256;
-  /// Requests one connection may have in flight (pipelining depth);
-  /// excess frames are answered UNAVAILABLE without dispatch.
-  size_t max_pipeline_depth = 64;
   /// Concurrent requests one tenant may have in flight across all its
   /// connections; excess is rejected at admission.
   size_t per_tenant_inflight = 128;
@@ -68,15 +69,11 @@ struct ServerOptions {
   /// Wire deadlines are clamped to this (a client cannot pin a worker
   /// arbitrarily long). 0 = no clamp.
   uint32_t max_deadline_ms = 60'000;
-  /// Share drains across concurrent identical queries.
-  bool coalesce_reads = true;
   /// Space budget exponent handed to RepCache::Get for every request.
   double space_budget_exponent = -1;
   /// Per-tenant RepCache configuration (capacity, max_resident_bytes =
   /// the per-tenant byte budget, planner churn, retry/degrade policy).
   RepCacheOptions cache;
-  /// Payload cap for the framing layer.
-  uint32_t max_payload_bytes = kMaxPayloadBytes;
 };
 
 struct ServerStats {
@@ -134,11 +131,11 @@ class CqcServer {
   RepCacheStats tenant_cache_stats(const std::string& tenant) const;
 
  private:
-  /// One write-queue element. A plain response is a single owned chunk; a
-  /// coalesced response is an owned head (length prefix + fixed header +
-  /// message) followed by a chunk sharing the drain's encoded values with
-  /// every other waiter — the large section is encoded once per drain and
-  /// never copied per waiter.
+  /// One write-queue element. A response without rows is a single owned
+  /// chunk; one with rows is an owned head (length prefix + fixed header +
+  /// message) followed by a chunk sharing the encoded values — for a
+  /// coalesced read, with every other waiter, so the large section is
+  /// encoded once per drain and never copied per waiter.
   struct OutChunk {
     std::string own;
     std::shared_ptr<const std::string> shared;  // used when non-null
@@ -157,8 +154,6 @@ class CqcServer {
     /// Set while reader.mid_frame(): when the partial frame started.
     std::chrono::steady_clock::time_point partial_since{};
     bool has_partial = false;
-
-    explicit Connection(uint32_t max_payload) : reader(max_payload) {}
   };
 
   struct Tenant {
@@ -188,15 +183,16 @@ class CqcServer {
   // --- worker threads ------------------------------------------------------
   void HandleRequest(uint64_t conn_id, WireRequest req,
                      uint64_t payload_offset);
-  /// Drains one query answer into wire values. Fails clean (no rows) when
-  /// the response frame would exceed kMaxPayloadBytes, the cap every
-  /// client's FrameReader enforces.
-  DrainResult RunQueryDrain(const CachedRep& entry, const Tuple& vb,
-                            const RequestContext* ctx) const;
-  /// Thread-safe: serializes and hands the response to the loop thread.
-  /// `tenant` (nullable) releases its admission slot. When `body` is set it
-  /// is the response's pre-encoded values section (shared across coalesced
-  /// waiters; `resp.values` must be empty and `body_rows` names the count).
+  /// Drains one query answer straight into a wire values section. Fails
+  /// clean (no rows) when the response frame would exceed
+  /// kMaxPayloadBytes, the cap every client's FrameReader enforces.
+  std::shared_ptr<const DrainResult> RunQueryDrain(
+      const CachedRep& entry, const Tuple& vb,
+      const RequestContext* ctx) const;
+  /// Thread-safe: serializes the head and hands the response to the loop
+  /// thread. `tenant` (nullable) releases its admission slot. `body`, when
+  /// set, is the response's encoded values section of `body_rows` rows
+  /// (shared across coalesced waiters); `resp.values` is never read.
   void CompleteRequest(uint64_t conn_id, WireResponse resp, Tenant* tenant,
                        std::shared_ptr<const std::string> body = nullptr,
                        uint32_t body_rows = 0);

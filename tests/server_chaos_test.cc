@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "plan/rep_cache.h"
+#include "plan/script.h"
 #include "serve/client.h"
 #include "serve/coalescer.h"
 #include "serve/server.h"
@@ -386,6 +388,91 @@ TEST_F(ServerChaosTest, OverCapAnswerFailsCleanlyAndKeepsTheConnection) {
   // (y, z, w, count) groups pass the cap too.
   expect_cap_error("agg count 3 1", 0);
   expect_small("agg count 1 2", {1000, 1});
+  client.Close();
+  ExpectCleanShutdown();
+}
+
+TEST_F(ServerChaosTest, BooleanViewAnswersOneRowOfOneOrNone) {
+  // num_free() == 0: a satisfied request enumerates the empty tuple once,
+  // which the wire carries as one row [1] at arity 1; an unsatisfied one
+  // answers no rows. Both read paths must agree.
+  ServerOptions opts;
+  opts.worker_threads = 2;
+  StartServer(opts);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  WireRequest req;
+  req.view = "Q^bb(x,y) = R1(x,y)";
+  req.deadline_ms = 30'000;
+  WireResponse resp;
+  for (uint8_t flags : {uint8_t{0}, kFlagNoCoalesce}) {
+    req.flags = flags;
+    req.request_id = 1;
+    req.body = "? 2 3";  // R1 holds (2, 3)
+    ASSERT_TRUE(client.Call(req, &resp).ok());
+    ASSERT_EQ(resp.code, StatusCode::kOk) << resp.message;
+    EXPECT_EQ(resp.arity, 1u) << (int)flags;
+    EXPECT_EQ(resp.values, std::vector<uint64_t>{1}) << (int)flags;
+    req.request_id = 2;
+    req.body = "? 2 9";  // no (2, 9)
+    ASSERT_TRUE(client.Call(req, &resp).ok());
+    ASSERT_EQ(resp.code, StatusCode::kOk) << resp.message;
+    EXPECT_EQ(resp.num_rows(), 0u) << (int)flags;
+    EXPECT_TRUE(resp.values.empty()) << (int)flags;
+  }
+  client.Close();
+  ExpectCleanShutdown();
+}
+
+TEST_F(ServerChaosTest, ValueAggregatesMatchTheInProcessAnswer) {
+  // SUM/MIN/MAX rows carry a value column after the count; each wire row
+  // must be exactly (group keys..., count, value) of AnswerAggregate over
+  // the same view and data.
+  Database db = MakeChaosDb();
+  AddRelation(db, "R3", 2, {{1, 7}, {1, 9}, {2, 4}, {3, 5}, {3, 6}});
+  constexpr char kAggView[] = "Q^bff(x,y,z) = R1(x,y), R3(y,z)";
+  ServerOptions opts;
+  opts.worker_threads = 2;
+  StartServer(opts, std::move(db));
+  // A second cache over the server's (read-only here) base tables.
+  RepCacheOptions cache_opts;
+  cache_opts.planner.churn_per_request = 0.5;  // the server's structure
+  RepCache local(&db_, cache_opts);
+  auto entry = local.Get(kAggView);
+  ASSERT_TRUE(entry.ok()) << entry.status().message();
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  WireRequest req;
+  req.view = kAggView;
+  req.deadline_ms = 30'000;
+  uint64_t id = 0;
+  for (const char* body : {"agg sum 1 1 2", "agg min 1 1 2", "agg max 1 0 3",
+                           "agg sum 0 1 4", "agg max 1 1 9"}) {
+    auto op = ParseScriptLine(body, /*mutate_mode=*/true);
+    ASSERT_TRUE(op.ok()) << body;
+    std::vector<int> group_vars;
+    for (int i = 0; i < op.value().group_arity; ++i) group_vars.push_back(i);
+    auto want = entry.value()->rep().AnswerAggregate(
+        op.value().values, group_vars, op.value().agg);
+    ASSERT_TRUE(want.ok()) << want.status().message();
+    const AggregateResult& agg = want.value();
+    std::vector<uint64_t> want_rows;
+    for (size_t g = 0; g < agg.num_groups(); ++g) {
+      for (int c = 0; c < agg.group_arity; ++c)
+        want_rows.push_back(agg.keys[g * (size_t)agg.group_arity + c]);
+      want_rows.push_back(agg.counts[g]);
+      want_rows.push_back(agg.values[g]);
+    }
+
+    req.request_id = ++id;
+    req.body = body;
+    WireResponse resp;
+    ASSERT_TRUE(client.Call(req, &resp).ok()) << body;
+    ASSERT_EQ(resp.code, StatusCode::kOk) << body << ": " << resp.message;
+    EXPECT_EQ(resp.arity, agg.group_arity + 2) << body;
+    EXPECT_EQ(resp.values, want_rows) << body;
+  }
   client.Close();
   ExpectCleanShutdown();
 }

@@ -5,10 +5,12 @@
 // or close cleanly: never crash, never hang, never leak a session.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "serve/client.h"
+#include "serve/coalescer.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "tests/test_util.h"
@@ -235,6 +237,23 @@ TEST(Protocol, ResponseRoundTripsExactly) {
   EXPECT_EQ(out.message, resp.message);
   EXPECT_EQ(out.values, resp.values);
   EXPECT_EQ(out.num_rows(), 2u);
+
+  // The split encoding the server sends (a head plus a separate values
+  // section) is the same frame, byte for byte.
+  EXPECT_EQ(EncodeResponseHead(resp, 2, 8 * resp.values.size()) +
+                EncodeValuesBody(resp.values),
+            frame);
+  // A second input: one wide row of extreme values, and no message.
+  WireResponse wide;
+  wide.arity = 5;
+  wide.request_id = 7;
+  wide.values = {0, 1, 0x0102030405060708ull, ~0ull, 1ull << 63};
+  std::string split = EncodeResponseHead(wide, 1, 8 * wide.values.size());
+  AppendValues(&split, wide.values.data(), wide.values.size());
+  EXPECT_EQ(split, EncodeResponseFrame(wide));
+  ASSERT_TRUE(DecodeResponsePayload(PayloadOf(split), 4, &out).ok());
+  EXPECT_EQ(out.values, wide.values);
+  EXPECT_EQ(out.num_rows(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,6 +268,10 @@ class ServerProtocolTest : public ::testing::Test {
     opts.worker_threads = 2;
     server_ = std::make_unique<CqcServer>(&db_, opts);
     ASSERT_TRUE(server_->Start().ok());
+  }
+
+  void TearDown() override {
+    ReadCoalescer::SetDrainHoldForTest(std::chrono::milliseconds(0));
   }
 
   /// Asserts the no-leak invariant: every session opened was closed and
@@ -443,6 +466,53 @@ TEST_F(ServerProtocolTest, PipelinedRequestsAllAnswerInOrder) {
     seen |= 1ull << (resp.request_id - 1);
   }
   EXPECT_EQ(seen, (1ull << kN) - 1);  // every id answered exactly once
+  client.Close();
+  ExpectNoLeaks();
+}
+
+TEST_F(ServerProtocolTest, PipelineDepthRefusesOnlyTheExcess) {
+  StartServer();
+  // Every drain sleeps just after Answer(), so none of the first
+  // kMaxPipelineDepth requests can finish (and free its slot) before the
+  // loop thread has read the whole burst.
+  ReadCoalescer::SetDrainHoldForTest(std::chrono::milliseconds(60));
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  constexpr uint64_t kExcess = 5;
+  constexpr uint64_t kN = kMaxPipelineDepth + kExcess;
+  std::string burst;
+  for (uint64_t id = 1; id <= kN; ++id) {
+    WireRequest req = PingRequest(id);
+    req.flags = kFlagNoCoalesce;  // one private drain (and hold) each
+    req.body = "? 1";
+    burst += EncodeRequestFrame(req);
+  }
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+  std::set<uint64_t> answered, refused;
+  for (uint64_t i = 0; i < kN; ++i) {
+    WireResponse resp;
+    ASSERT_TRUE(client.ReadResponse(&resp).ok()) << "after " << i;
+    if (resp.code == StatusCode::kUnavailable) {
+      EXPECT_NE(resp.message.find("pipeline depth"), std::string::npos)
+          << resp.message;
+      refused.insert(resp.request_id);
+    } else {
+      ASSERT_EQ(resp.code, StatusCode::kOk) << resp.message;
+      EXPECT_EQ(resp.num_rows(), 2u);
+      answered.insert(resp.request_id);
+    }
+  }
+  // Frames are admitted in stream order: the first kMaxPipelineDepth run,
+  // the rest are refused, and all of them on the same live connection.
+  std::set<uint64_t> want_answered, want_refused;
+  for (uint64_t id = 1; id <= kN; ++id)
+    (id <= kMaxPipelineDepth ? want_answered : want_refused).insert(id);
+  EXPECT_EQ(answered, want_answered);
+  EXPECT_EQ(refused, want_refused);
+  EXPECT_EQ(server_->stats().pipeline_rejected, kExcess);
+  WireResponse resp;
+  ASSERT_TRUE(client.Call(PingRequest(kN + 1), &resp).ok());
+  EXPECT_EQ(resp.code, StatusCode::kOk);
   client.Close();
   ExpectNoLeaks();
 }

@@ -33,8 +33,7 @@ void Usage() {
       "[--port P]\n"
       "                  [--workers N] [--max-sessions N] "
       "[--budget-bytes B]\n"
-      "                  [--churn RATE] [--no-coalesce] "
-      "[--max-deadline-ms N]\n"
+      "                  [--churn RATE] [--max-deadline-ms N]\n"
       "                  [--smoke]\n"
       "--gen builds a synthetic database (workload/generators.h) instead\n"
       "of loading CSVs: path2/path3 make R1..Rn random graphs, triangle\n"
@@ -232,8 +231,6 @@ int main(int argc, char** argv) {
           (size_t)std::strtoull(next(), nullptr, 10);
     } else if (arg == "--churn") {
       opts.cache.planner.churn_per_request = std::atof(next());
-    } else if (arg == "--no-coalesce") {
-      opts.coalesce_reads = false;
     } else if (arg == "--max-deadline-ms") {
       opts.max_deadline_ms = (uint32_t)std::strtoul(next(), nullptr, 10);
     } else if (arg == "--smoke") {
