@@ -146,10 +146,7 @@ int main() {
     for (RepKind kind : {RepKind::kMaterialized, RepKind::kCompressed,
                          RepKind::kDecomposed, RepKind::kDirect}) {
       PlannerOptions popt = base;
-      popt.consider_materialized = kind == RepKind::kMaterialized;
-      popt.consider_compressed = kind == RepKind::kCompressed;
-      popt.consider_decomposed = kind == RepKind::kDecomposed;
-      popt.consider_direct = kind == RepKind::kDirect;
+      popt.only_kind = kind;
       run(RepKindName(kind), /*is_auto=*/false, popt);
     }
     run("auto", /*is_auto=*/true, base);

@@ -92,8 +92,7 @@ void RunSustainedChurnSweep(bench::BenchReport& report) {
     // the rebuild fraction; the build returns the AnswerRep adapter.
     Planner planner(&db);
     PlannerOptions popt;
-    popt.consider_compressed = popt.consider_decomposed = false;
-    popt.consider_direct = popt.consider_materialized = false;
+    popt.only_kind = RepKind::kUpdatable;
     popt.churn_per_request = churn;
     Plan plan = planner.PlanView(view, popt).value();
     auto rep = planner.BuildPlan(view, plan).value();

@@ -5,7 +5,6 @@
 #include <deque>
 
 #include "exec/par_util.h"
-#include "exec/thread_pool.h"
 #include "join/generic_join.h"
 #include "util/logging.h"
 
@@ -294,10 +293,11 @@ bool DictionaryBuilder::ProbeNonEmpty(TupleSpan vb,
   return false;
 }
 
-// Sweeps one node: appends its heavy entries and returns (via `live`) the
+// Sweeps one node: replaces its heavy entries and returns (via `live`) the
 // candidate ids that propagate to the children. Reads the dictionary's raw
 // candidate pool and the shared read-only inputs only, and writes only
-// staging[node] — safe to run concurrently for distinct nodes.
+// staging[node] — safe to run concurrently for distinct nodes, and a
+// re-run of a subtree overwrites what an interrupted run left behind.
 void DictionaryBuilder::ProcessOne(const HeavyDictionary& dict,
                                    std::vector<Entry>* entries, int node,
                                    const std::vector<FBox>& boxes,
@@ -305,6 +305,7 @@ void DictionaryBuilder::ProcessOne(const HeavyDictionary& dict,
                                    std::vector<uint32_t>* live) const {
   const double threshold =
       DelayBalancedTree::Threshold(tau_, alpha_, tree_->level(node));
+  entries->clear();
   for (uint32_t id : cand) {
     const TupleSpan vb = dict.candidate(id);
     const double t = cost_->BoxesCostBound(vb, boxes);
@@ -354,82 +355,48 @@ HeavyDictionary DictionaryBuilder::Build() {
   for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
   FInterval root{domain_->MinTuple(), domain_->MaxTuple()};
 
-  const int threads = par::BuildThreads();
-  if (threads <= 1 || ThreadPool::InWorker()) {
-    ProcessNode(&dict, &staging, tree_->root(), root, all);
-  } else {
-    // Per-subtree parallelism: expand a work frontier breadth-first on the
-    // caller thread (child candidate sets depend on the parent sweep, so
-    // the prefix is inherently sequential), then hand each remaining
-    // subtree to the shared pool. Subtrees write disjoint staging slots and
-    // read the shared structures only.
-    struct SubtreeTask {
-      int node;
-      FInterval interval;
-      std::vector<uint32_t> cand;
-    };
-    std::deque<SubtreeTask> frontier;
-    frontier.push_back({tree_->root(), root, std::move(all)});
-    const size_t target = 4 * (size_t)threads;
-    while (!frontier.empty() && frontier.size() < target) {
-      SubtreeTask t = std::move(frontier.front());
-      frontier.pop_front();
-      const std::vector<FBox> boxes = BoxDecompose(t.interval);
-      std::vector<uint32_t> live;
-      ProcessOne(dict, &staging[t.node], t.node, boxes, t.cand, &live);
-      if (live.empty() || tree_->leaf(t.node)) continue;
-      const TupleSpan beta = tree_->beta(t.node);
-      FInterval child;
-      if (tree_->left(t.node) >= 0) {
-        CQC_CHECK(DelayBalancedTree::LeftInterval(t.interval, beta, *domain_,
-                                                  &child));
-        frontier.push_back({tree_->left(t.node), child, live});
-      }
-      if (tree_->right(t.node) >= 0) {
-        CQC_CHECK(DelayBalancedTree::RightInterval(t.interval, beta,
-                                                   *domain_, &child));
-        frontier.push_back({tree_->right(t.node), child, std::move(live)});
-      }
+  // Per-subtree parallelism: expand a work frontier breadth-first on the
+  // caller thread (child candidate sets depend on the parent sweep, so the
+  // prefix is inherently sequential), then sweep each remaining subtree as
+  // one task. Subtrees write disjoint staging slots and read the shared
+  // structures only. Where the fan-out would run serially anyway, the
+  // frontier is just the root.
+  struct SubtreeTask {
+    int node;
+    FInterval interval;
+    std::vector<uint32_t> cand;
+  };
+  std::deque<SubtreeTask> frontier;
+  frontier.push_back({tree_->root(), root, std::move(all)});
+  const size_t target =
+      par::SerialOnly() ? 1 : 4 * (size_t)par::BuildThreads();
+  while (!frontier.empty() && frontier.size() < target) {
+    SubtreeTask t = std::move(frontier.front());
+    frontier.pop_front();
+    const std::vector<FBox> boxes = BoxDecompose(t.interval);
+    std::vector<uint32_t> live;
+    ProcessOne(dict, &staging[t.node], t.node, boxes, t.cand, &live);
+    if (live.empty() || tree_->leaf(t.node)) continue;
+    const TupleSpan beta = tree_->beta(t.node);
+    FInterval child;
+    if (tree_->left(t.node) >= 0) {
+      CQC_CHECK(DelayBalancedTree::LeftInterval(t.interval, beta, *domain_,
+                                                &child));
+      frontier.push_back({tree_->left(t.node), child, live});
     }
-    if (!frontier.empty()) {
-      // TaskGroup (not bare Submit+WaitIdle): per-group completion and
-      // fault attribution. A task killed by a contained exception or an
-      // injected thread_pool/task fault is re-run serially below, so a
-      // transient worker fault degrades to serial work on that subtree
-      // instead of a silently incomplete dictionary.
-      std::vector<SubtreeTask> tasks(
-          std::make_move_iterator(frontier.begin()),
-          std::make_move_iterator(frontier.end()));
-      // One byte per task, each written by exactly one worker; reads are
-      // ordered by the group's Wait().
-      std::vector<char> completed(tasks.size(), 0);
-      TaskGroup group(SharedBuildPool());
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        group.Submit([this, &dict, &staging, &tasks, &completed, i] {
-          const SubtreeTask& task = tasks[i];
-          ProcessNode(&dict, &staging, task.node, task.interval, task.cand);
-          completed[i] = 1;
-        });
-      }
-      if (!group.Wait().ok()) {
-        // A failed task may have filled part of its subtree's staging
-        // slots before dying; clear the whole subtree so the serial rerun
-        // appends into empty slots.
-        const std::function<void(int)> clear_subtree = [&](int node) {
-          if (node < 0) return;
-          staging[node].clear();
-          clear_subtree(tree_->left(node));
-          clear_subtree(tree_->right(node));
-        };
-        for (size_t i = 0; i < tasks.size(); ++i) {
-          if (completed[i]) continue;
-          clear_subtree(tasks[i].node);
-          ProcessNode(&dict, &staging, tasks[i].node, tasks[i].interval,
-                      tasks[i].cand);
-        }
-      }
+    if (tree_->right(t.node) >= 0) {
+      CQC_CHECK(DelayBalancedTree::RightInterval(t.interval, beta, *domain_,
+                                                 &child));
+      frontier.push_back({tree_->right(t.node), child, std::move(live)});
     }
   }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(frontier.size());
+  for (SubtreeTask& t : frontier)
+    tasks.push_back([this, &dict, &staging, t = std::move(t)] {
+      ProcessNode(&dict, &staging, t.node, t.interval, t.cand);
+    });
+  par::RunTasks(std::move(tasks));
 
   // Flatten the per-node staging vectors into the CSR columns.
   size_t total = 0;

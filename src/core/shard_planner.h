@@ -21,9 +21,9 @@
 // yields the same multiset (the ParallelEnumerator exposes both).
 //
 // Thread-count heuristics: callers usually want num_shards to be a small
-// multiple of the worker count (kShardsPerThread) so work stealing can
-// rebalance the inevitable estimation error; a shard count far above that
-// only adds per-shard enumerator setup cost.
+// multiple of the worker count (kShardsPerThread) so idle workers taking
+// the next queued shard rebalance the inevitable estimation error; a shard
+// count far above that only adds per-shard enumerator setup cost.
 #ifndef CQC_CORE_SHARD_PLANNER_H_
 #define CQC_CORE_SHARD_PLANNER_H_
 
@@ -37,9 +37,9 @@
 
 namespace cqc {
 
-/// How many shards to plan per worker thread: enough slack for stealing to
-/// even out weight-estimate error, few enough that per-shard setup stays
-/// negligible.
+/// How many shards to plan per worker thread: enough slack for the pool's
+/// queue to even out weight-estimate error, few enough that per-shard setup
+/// stays negligible.
 inline constexpr size_t kShardsPerThread = 4;
 
 struct ShardPlan {

@@ -336,6 +336,10 @@ UpdatableRep::Info UpdatableRep::GetInfo() const {
   return info;
 }
 
+bool UpdatableRep::has_aggregates() const {
+  return Load()->snapshot->rep->has_aggregates();
+}
+
 const CompressedRep& UpdatableRep::rep() const {
   return *Load()->snapshot->rep;
 }

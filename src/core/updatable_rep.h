@@ -138,6 +138,9 @@ class UpdatableRep {
   size_t pending_inserts() const;
   size_t pending_deletes() const;
   size_t snapshot_tuples() const;
+  /// The current snapshot carries aggregate annotations (one epoch load:
+  /// safe against a concurrent rebuild, unlike rep().has_aggregates()).
+  bool has_aggregates() const;
   int num_rebuilds() const { return num_rebuilds_; }
   double build_seconds() const;
   /// Snapshot structure + base copy + pending delta footprint.

@@ -1,27 +1,37 @@
-// Build-time parallelism helpers: a chunked parallel sort and a task-list
-// runner, both self-gating.
+// Build-time fork-join: one task-list runner, and a chunked parallel sort
+// built on it.
 //
-// These back the bulk phases of representation construction — Relation::Seal
-// row sorts, SortedIndex builds, column scatters — where the work is a
-// single large data-parallel operation on a caller thread. They spawn plain
-// std::threads (not the shared ThreadPool) because they may be reached FROM
-// a pool task (e.g. an index build submitted by CompressedRep::Build): a
-// pool task that waited on its own pool would deadlock, and nested fan-out
-// would oversubscribe. The gates below make any nested call run serially:
-//   * inside a ThreadPool worker           -> serial
-//   * inside another par_util region       -> serial
-//   * input below the split threshold      -> serial
-//   * BuildThreads() == 1                  -> serial
+// RunTasks is the only build-time fan-out. Relation::Seal row sorts and
+// column scatters, SortedIndex builds, per-atom index binds
+// (BindAtomsParallel) and the heavy-dictionary subtree sweep all go through
+// it. The caller plus min(BuildThreads(), n) - 1 short-lived std::threads
+// drain one atomic task index. They are plain threads, not the shared
+// ThreadPool: the caller always makes progress itself, so a foreground
+// seal or index build never waits in the pool's queue behind a background
+// snapshot fold. RunTasks runs the whole list serially on the caller when
+//   * there is at most one task,
+//   * BuildThreads() <= 1,
+//   * the caller is a ThreadPool worker (a server request, a fold, a shard
+//     producer: nested fan-out would only oversubscribe), or
+//   * the caller is a task of another RunTasks whose list several threads
+//     share.
+// SerialOnly() is the last two conditions. A list the caller drains alone
+// leaves its tasks free to fan out (one atom's index build, say).
 //
-// BuildThreads() defaults to the hardware parallelism and is overridable
-// (SetBuildThreads) so tests can exercise the parallel paths on small
-// machines and ops can cap build fan-out.
+// Faults: before it starts, each task is checked against the `par/task`
+// failpoint, and it runs under a try/catch. A task that was injected or
+// threw is re-run serially on the caller after the join; an exception from
+// that re-run propagates. So every task must write only its own output
+// slot and tolerate being run again from the start.
+//
+// BuildThreads() defaults to the hardware parallelism. SetBuildThreads
+// overrides it; every fan-out reads it at call time, so tests can exercise
+// the parallel paths on small machines and ops can cap build fan-out.
 #ifndef CQC_EXEC_PAR_UTIL_H_
 #define CQC_EXEC_PAR_UTIL_H_
 
 #include <algorithm>
 #include <functional>
-#include <thread>
 #include <vector>
 
 namespace cqc {
@@ -29,67 +39,50 @@ namespace par {
 
 /// Worker count for build-time parallelism (>= 1).
 int BuildThreads();
-/// Overrides BuildThreads(); n <= 0 restores the hardware default. Takes
-/// effect for later calls (the shared pool is sized at first use).
+/// Overrides BuildThreads(); n <= 0 restores the hardware default.
 void SetBuildThreads(int n);
 
-/// True while inside a par_util parallel region (any thread).
-bool InParallelRegion();
-
-namespace internal {
-class RegionGuard {
- public:
-  RegionGuard();
-  ~RegionGuard();
-};
+/// True when a fan-out from this thread must run serially: inside a
+/// ThreadPool worker, or inside a task of a RunTasks that several threads
+/// drain.
 bool SerialOnly();
-}  // namespace internal
 
-/// Runs every task, possibly concurrently. Tasks must be independent.
+/// Runs every task, possibly concurrently, and returns when all have
+/// finished. Tasks must be independent and re-runnable (see above).
 void RunTasks(std::vector<std::function<void()>> tasks);
 
-/// std::sort with chunked fan-out + pairwise merge when the input is large
-/// and the gates allow it. Comparator requirements as for std::sort.
+/// std::sort with chunked fan-out + pairwise merge rounds (one RunTasks
+/// each) when the input is large. Comparator requirements as for
+/// std::sort.
 template <typename It, typename Cmp>
 void ParallelSort(It begin, It end, Cmp cmp) {
   const size_t n = (size_t)(end - begin);
-  constexpr size_t kMinParallelSort = 1u << 15;
-  const int threads = BuildThreads();
-  if (n < kMinParallelSort || threads <= 1 || internal::SerialOnly()) {
+  constexpr size_t kMinChunk = 1u << 14;
+  size_t k = std::min<size_t>((size_t)BuildThreads(), 8);
+  while (k > 1 && n / k < kMinChunk) --k;
+  if (k <= 1 || SerialOnly()) {
     std::sort(begin, end, cmp);
     return;
   }
-  internal::RegionGuard guard;
-  size_t k = std::min<size_t>((size_t)threads, 8);
-  while (k > 1 && n / k < kMinParallelSort / 2) --k;
-  if (k <= 1) {
-    std::sort(begin, end, cmp);
-    return;
-  }
-  // Sort k chunks (k-1 spawned threads + this one), then merge pairwise.
   std::vector<size_t> bounds(k + 1);
   for (size_t i = 0; i <= k; ++i) bounds[i] = n * i / k;
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(k - 1);
-    for (size_t i = 1; i < k; ++i)
-      workers.emplace_back([&, i] {
-        std::sort(begin + bounds[i], begin + bounds[i + 1], cmp);
-      });
-    std::sort(begin + bounds[0], begin + bounds[1], cmp);
-    for (auto& w : workers) w.join();
-  }
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < k; ++i)
+    tasks.push_back([&, i] {
+      std::sort(begin + bounds[i], begin + bounds[i + 1], cmp);
+    });
+  RunTasks(std::move(tasks));
   for (size_t width = 1; width < k; width *= 2) {
-    std::vector<std::thread> workers;
+    tasks.clear();
     for (size_t i = 0; i + width < k; i += 2 * width) {
       const size_t lo = bounds[i];
       const size_t mid = bounds[i + width];
       const size_t hi = bounds[std::min(i + 2 * width, k)];
-      workers.emplace_back([=, &cmp] {
+      tasks.push_back([=, &cmp] {
         std::inplace_merge(begin + lo, begin + mid, begin + hi, cmp);
       });
     }
-    for (auto& w : workers) w.join();
+    RunTasks(std::move(tasks));
   }
 }
 

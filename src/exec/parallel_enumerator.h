@@ -1,7 +1,7 @@
 // Shard-parallel enumeration over any TupleEnumerator family.
 //
 // A ParallelEnumerator drains K disjoint shards of an output space
-// concurrently on a small work-stealing thread pool and re-exposes the
+// concurrently on a small FIFO thread pool and re-exposes the
 // result as one ordinary pull-based TupleEnumerator, so every existing
 // consumer (CollectAll, DrainBatched, the CLI print loop, the bench
 // harness) parallelizes without change. Producers fill fixed-size
@@ -23,7 +23,10 @@
 // The ordered bound is deliberately per shard: the consumer always drains
 // the currently-front shard, so that shard's producer can always make
 // progress — a single global bound could fill up with later shards' chunks
-// and deadlock against a consumer waiting on the front shard.
+// and deadlock against a consumer waiting on the front shard. The other
+// half of that argument is start order: shards are submitted 0, 1, ... to
+// the pool's one FIFO queue, so the front shard's producer has always
+// started before any later producer can park a worker (thread_pool.h).
 //
 // Destroying the enumerator early (consumer abandons the stream) cancels
 // the producers at their next chunk boundary and joins the pool.

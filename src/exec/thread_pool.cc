@@ -21,12 +21,9 @@ ThreadPool& SharedBuildPool() {
 
 ThreadPool::ThreadPool(int num_threads) {
   const size_t n = (size_t)std::max(1, num_threads);
-  queues_.reserve(n);
-  for (size_t i = 0; i < n; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i)
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -44,48 +41,17 @@ int ThreadPool::DefaultThreadCount() {
 
 void ThreadPool::Submit(std::function<void()> fn) {
   CQC_CHECK(fn != nullptr);
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  const size_t q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                   queues_.size();
-  {
-    std::lock_guard<std::mutex> lk(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(fn));
-  }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ++epoch_;
+    queue_.push_back(std::move(fn));
+    ++pending_;
   }
   work_cv_.notify_one();
 }
 
 void ThreadPool::WaitIdle() {
   std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [&] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-bool ThreadPool::Grab(size_t self, std::function<void()>* out) {
-  {  // Own work first, oldest-first — see the header on why FIFO.
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.tasks.empty()) {
-      *out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-  }
-  // Steal oldest-first from the next victim around the ring.
-  for (size_t d = 1; d < queues_.size(); ++d) {
-    WorkerQueue& q = *queues_[(self + d) % queues_.size()];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.tasks.empty()) {
-      *out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
+  idle_cv_.wait(lk, [&] { return pending_ == 0; });
 }
 
 std::string ThreadPool::first_uncaught_message() const {
@@ -94,10 +60,10 @@ std::string ThreadPool::first_uncaught_message() const {
 }
 
 void ThreadPool::RunContained(std::function<void()>& task) {
-  // Backstop only: submitters that need attribution (TaskGroup,
-  // ParallelEnumerator) catch before the exception gets here. Anything
-  // that does arrive means dropped work, so record it for diagnostics —
-  // but never let a task take down the process.
+  // Backstop only: submitters that need attribution (ParallelEnumerator,
+  // RepCache folds) catch before the exception gets here. Anything that
+  // does arrive means dropped work, so record it for diagnostics — but
+  // never let a task take down the process.
   try {
     task();
   } catch (const std::exception& e) {
@@ -111,39 +77,20 @@ void ThreadPool::RunContained(std::function<void()>& task) {
   }
 }
 
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   tls_in_worker = true;
-  std::function<void()> task;
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    if (Grab(self, &task)) {
-      RunContained(task);
-      task = nullptr;
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last task out: wake WaitIdle under the lock so the wakeup cannot
-        // slip between its predicate check and its wait.
-        std::lock_guard<std::mutex> lk(mu_);
-        idle_cv_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lk(mu_);
-    if (stop_) return;
-    const uint64_t seen = epoch_;
+    // Queued tasks still run after stop_: the destructor drains the queue.
+    work_cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
     lk.unlock();
-    // A submit may have landed between the failed Grab and reading epoch_;
-    // re-check the queues once before committing to sleep.
-    if (Grab(self, &task)) {
-      RunContained(task);
-      task = nullptr;
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> ilk(mu_);
-        idle_cv_.notify_all();
-      }
-      continue;
-    }
+    RunContained(task);
+    task = nullptr;  // destroy captures outside the lock
     lk.lock();
-    work_cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-    if (stop_) return;
+    if (--pending_ == 0) idle_cv_.notify_all();
   }
 }
 

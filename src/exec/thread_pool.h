@@ -1,30 +1,28 @@
-// A small work-stealing thread pool for shard-parallel enumeration.
+// A small thread pool with one FIFO queue.
 //
-// Each worker owns a deque: submissions are spread round-robin, a worker
-// pops its own work from the front, and it steals from the front of a
-// victim's deque when its own runs dry. Both ends are FIFO — deliberately
-// NOT the classic owner-LIFO discipline: a producer task may block on
-// consumer backpressure while occupying its worker (see
-// parallel_enumerator.h), and an ordered consumer only drains the
-// lowest-numbered unfinished shard. FIFO pops guarantee a queue's earliest
-// task is taken (by owner or thief) before any later one, so the shard the
-// consumer is waiting on is always already started — with LIFO pops, late
-// shards can fill their buffers and park every worker while the front
-// shard's task is still queued: deadlock. Deques are mutex-guarded rather
-// than lock-free: the pool runs coarse tasks (a whole shard drain each),
-// so queue operations are nanoseconds against milliseconds of task work
-// and the simpler invariants are worth far more than the lock elision.
+// Submit() appends to a single mutex-guarded deque; workers pop its front.
+// Tasks therefore START in submission order, and that is load-bearing: a
+// ParallelEnumerator producer may block on consumer backpressure while
+// occupying its worker (see parallel_enumerator.h), and an ordered
+// consumer only drains the lowest-numbered unfinished shard. Because the
+// earliest queued task is always started before any later one, the shard
+// the consumer waits on is already running whenever a later shard's
+// producer parks — a LIFO or per-worker order could park every worker on
+// late shards while the front shard's task is still queued: deadlock. The
+// pool runs coarse tasks (a whole shard drain, a snapshot fold, a server
+// request), so one lock per queue operation is nanoseconds against
+// milliseconds of task work.
 //
 // Lifecycle: Submit() never blocks; WaitIdle() blocks until every submitted
-// task has finished; the destructor stops accepting work, drains nothing
-// (pending tasks still run), and joins. All public methods are thread-safe.
+// task has finished; the destructor stops accepting work, lets the queued
+// tasks run, and joins. All public methods are thread-safe.
 //
 // Fault containment: a task that throws never reaches std::terminate. The
 // worker loop is a backstop — it swallows the exception, records it in
 // pool-level counters, and keeps the worker alive — but a backstop cannot
-// attribute the fault to a request. Submitters that need attribution wrap
-// their tasks in a TaskGroup, whose Wait() returns the first failure of
-// that group (and only that group) as a Status.
+// attribute the fault to a request. Submitters that need attribution catch
+// inside their own task (ParallelEnumerator routes shard faults to the
+// stream status; RepCache folds report theirs).
 #ifndef CQC_EXEC_THREAD_POOL_H_
 #define CQC_EXEC_THREAD_POOL_H_
 
@@ -32,14 +30,10 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
-
-#include "util/failpoint.h"
-#include "util/status.h"
 
 namespace cqc {
 
@@ -53,7 +47,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `fn` (round-robin across worker deques).
+  /// Appends `fn` to the queue.
   void Submit(std::function<void()> fn);
 
   /// Blocks until every task submitted so far has completed.
@@ -65,16 +59,15 @@ class ThreadPool {
   static int DefaultThreadCount();
 
   /// True while the calling thread is executing inside a pool worker. Used
-  /// by nested-parallelism gates (par_util): a pool task that reaches a
-  /// parallel sort runs it serially instead of oversubscribing, and must
-  /// never Submit+WaitIdle on its own pool (deadlock: the waiting worker is
-  /// itself a pending task).
+  /// by the build fan-out gate (par::SerialOnly): a pool task that reaches
+  /// a parallel build step runs it serially instead of oversubscribing, and
+  /// must never Submit+WaitIdle on its own pool (deadlock: the waiting
+  /// worker is itself a pending task).
   static bool InWorker();
 
   /// Tasks whose exceptions reached the worker backstop (i.e. were not
-  /// already contained by a TaskGroup or other submitter wrapper). Nonzero
-  /// here means some submitter has a containment gap — the work was
-  /// dropped, not retried.
+  /// contained by the submitter). Nonzero here means some submitter has a
+  /// containment gap — the work was dropped, not retried.
   size_t uncaught_task_exceptions() const {
     return uncaught_.load(std::memory_order_relaxed);
   }
@@ -83,117 +76,27 @@ class ThreadPool {
   std::string first_uncaught_message() const;
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void WorkerLoop(size_t self);
-  /// Pops the front of the own queue, else steals the front of the next
-  /// non-empty victim. FIFO at both ends — load-bearing, see file header.
-  bool Grab(size_t self, std::function<void()>* out);
+  void WorkerLoop();
   /// Runs `task` with the exception backstop. Workers never die.
   void RunContained(std::function<void()>& task);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
 
-  std::mutex mu_;  // guards epoch_ / stop_ transitions and the cvs
+  std::mutex mu_;                     // guards queue_, pending_, stop_
   std::condition_variable work_cv_;   // signalled on submit and stop
   std::condition_variable idle_cv_;   // signalled when pending_ hits zero
-  uint64_t epoch_ = 0;                // bumped per submit (missed-wakeup guard)
+  std::deque<std::function<void()>> queue_;
+  size_t pending_ = 0;                // queued + running tasks
   bool stop_ = false;
-  std::atomic<size_t> pending_{0};
-  std::atomic<size_t> next_queue_{0};
 
   std::atomic<size_t> uncaught_{0};   // backstopped task exceptions
   mutable std::mutex error_mu_;       // guards first_uncaught_
   std::string first_uncaught_;
 };
 
-/// A group of tasks submitted to a pool whose completion — and failure —
-/// is tracked per group, not pool-wide. Submit() wraps each task so that
-/// an exception (or a fired `thread_pool/task` failpoint) is captured as
-/// a Status instead of reaching the worker backstop; Wait() blocks until
-/// every task of THIS group finished and returns the first failure.
-/// Unlike ThreadPool::WaitIdle(), a concurrent build sharing the pool
-/// neither delays the error report nor pollutes it.
-///
-/// Tasks may return void (exceptions are the only failure mode) or Status
-/// (returned errors count as failures too). The group must outlive its
-/// tasks; the destructor waits.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-  ~TaskGroup() { Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  template <typename Fn>
-  void Submit(Fn&& fn) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++outstanding_;
-    }
-    pool_.Submit([this, fn = std::forward<Fn>(fn)]() mutable {
-      Status s;
-      if (failpoint::ShouldFail("thread_pool/task")) {
-        s = failpoint::InjectedFault("thread_pool/task");
-      } else {
-        try {
-          if constexpr (std::is_void_v<decltype(fn())>) {
-            fn();
-          } else {
-            s = fn();
-          }
-        } catch (const std::exception& e) {
-          s = Status::Unavailable(std::string("task failed: ") + e.what());
-        } catch (...) {
-          s = Status::Unavailable("task failed: non-standard exception");
-        }
-      }
-      Finish(std::move(s));
-    });
-  }
-
-  /// Blocks until all tasks submitted to this group have finished; returns
-  /// OK or the first failure. Idempotent.
-  Status Wait() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return outstanding_ == 0; });
-    return first_error_;
-  }
-
-  /// Tasks of this group that failed so far (observable after Wait()).
-  size_t failed_tasks() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return failed_;
-  }
-
- private:
-  void Finish(Status s) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!s.ok()) {
-      ++failed_;
-      if (first_error_.ok()) first_error_ = std::move(s);
-    }
-    if (--outstanding_ == 0) cv_.notify_all();
-  }
-
-  ThreadPool& pool_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  size_t outstanding_ = 0;
-  size_t failed_ = 0;
-  Status first_error_;
-};
-
-/// Process-wide pool for build-time parallelism (index builds, dictionary
-/// subtree sweeps), created on first use and sized par::BuildThreads().
-/// Builds Submit from caller threads and WaitIdle for their own tasks; the
-/// wait may also cover tasks of a concurrent build sharing the pool, which
-/// is benign (no task ever blocks on another).
+/// Process-wide pool for background build work (RepCache snapshot folds),
+/// created on first use and sized par::BuildThreads() at that moment.
+/// Foreground build fan-out does not use it: see par::RunTasks.
 ThreadPool& SharedBuildPool();
 
 }  // namespace cqc

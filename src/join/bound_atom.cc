@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "exec/par_util.h"
-#include "exec/thread_pool.h"
 #include "util/logging.h"
 
 namespace cqc {
@@ -129,30 +128,19 @@ std::vector<BoundAtom> BindAtomsParallel(
     const std::vector<VarId>& free_order) {
   const size_t num_atoms = cq.atoms().size();
   CQC_CHECK_EQ(rels.size(), num_atoms);
+  // Each task binds into its own slot; emplace replaces whatever an
+  // interrupted run left, so a re-run starts clean.
+  std::vector<std::optional<BoundAtom>> staged(num_atoms);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(num_atoms);
+  for (size_t i = 0; i < num_atoms; ++i)
+    tasks.push_back([&, i] {
+      staged[i].emplace(cq.atoms()[i], *rels[i], bound_order, free_order);
+    });
+  par::RunTasks(std::move(tasks));
   std::vector<BoundAtom> atoms;
   atoms.reserve(num_atoms);
-  if (num_atoms > 1 && par::BuildThreads() > 1 && !ThreadPool::InWorker()) {
-    std::vector<std::optional<BoundAtom>> staged(num_atoms);
-    // TaskGroup (not bare Submit+WaitIdle): a task dropped by a contained
-    // exception or an injected thread_pool/task fault leaves its slot
-    // empty — moving from it would be UB. Bind the missing atoms serially
-    // instead.
-    TaskGroup group(SharedBuildPool());
-    for (size_t i = 0; i < num_atoms; ++i) {
-      group.Submit([&, i] {
-        staged[i].emplace(cq.atoms()[i], *rels[i], bound_order, free_order);
-      });
-    }
-    group.Wait();
-    for (size_t i = 0; i < num_atoms; ++i) {
-      if (!staged[i].has_value())
-        staged[i].emplace(cq.atoms()[i], *rels[i], bound_order, free_order);
-      atoms.push_back(std::move(*staged[i]));
-    }
-  } else {
-    for (size_t i = 0; i < num_atoms; ++i)
-      atoms.emplace_back(cq.atoms()[i], *rels[i], bound_order, free_order);
-  }
+  for (std::optional<BoundAtom>& a : staged) atoms.push_back(std::move(*a));
   return atoms;
 }
 

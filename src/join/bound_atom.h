@@ -119,9 +119,8 @@ std::vector<BoundAtom> BindAtoms(const ConjunctiveQuery& cq,
 }
 
 /// Binds one BoundAtom per atom over pre-resolved relations (`rels[i]` for
-/// `cq.atoms()[i]`), fanning the per-atom index builds out on the shared
-/// build pool when build parallelism is enabled and the caller is not
-/// itself a pool task. Relation::GetIndex coalesces concurrent requests
+/// `cq.atoms()[i]`), one par::RunTasks task per atom (serial where the
+/// fan-out gate says so). Relation::GetIndex coalesces concurrent requests
 /// for one permutation, so atoms sharing a relation stay correct. The
 /// result order always matches the atom order (builds are deterministic
 /// across thread counts).

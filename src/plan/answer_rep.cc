@@ -66,7 +66,8 @@ RepCapabilities KindCapabilities(RepKind kind, int num_free,
       c.range_restricted = num_free > 0;
       c.low_delay_resume = true;
       c.sharded = num_free > 0;
-      c.aggregates = with_aggregates;
+      // A boolean view has nothing to fold: no annotations are built.
+      c.aggregates = with_aggregates && num_free > 0;
       break;
     case RepKind::kDecomposed:
       c.sharded = num_free > 0;
@@ -85,7 +86,7 @@ RepCapabilities KindCapabilities(RepKind kind, int num_free,
       break;
     case RepKind::kUpdatable:
       c.updatable = true;
-      c.aggregates = with_aggregates;
+      c.aggregates = with_aggregates && num_free > 0;
       break;
   }
   return c;
@@ -423,11 +424,8 @@ DirectAnswerRep::DirectAnswerRep(std::unique_ptr<DirectEval> rep)
 }
 
 RepCapabilities DirectAnswerRep::capabilities() const {
-  RepCapabilities c;
-  c.lex_ordered = true;
-  c.range_restricted = rep_->view().num_free() > 0;
-  c.low_delay_resume = true;  // range-restricted resume below
-  return c;
+  return KindCapabilities(RepKind::kDirect, rep_->view().num_free(),
+                          /*with_aggregates=*/false);
 }
 
 std::string DirectAnswerRep::Describe() const {
@@ -530,9 +528,10 @@ RepCapabilities UpdatableAnswerRep::capabilities() const {
   // The combined stream (snapshot part, then delta part) is not globally
   // lexicographic, so no order-dependent capability is advertised. The
   // aggregate flag follows the snapshot structure's annotations (pending
-  // epochs still answer, via drain-and-fold).
+  // epochs still answer, via drain-and-fold), read from one epoch: a
+  // background fold may free the previous snapshot at any time.
   return KindCapabilities(RepKind::kUpdatable, rep_->view().num_free(),
-                          rep_->rep().has_aggregates());
+                          rep_->has_aggregates());
 }
 
 std::string UpdatableAnswerRep::Describe() const {

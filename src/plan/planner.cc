@@ -17,6 +17,9 @@ namespace {
 /// arithmetic, so the LPs stay well-conditioned.
 constexpr double kUnlimitedLog = 700.0;
 constexpr double kFeasibilityEps = 1e-6;
+/// The connex decomposition search is exhaustive over elimination orders;
+/// views with more free variables skip the decomposed candidate.
+constexpr int kMaxFreeVarsForDecomposition = 8;
 
 double Dot(const std::vector<double>& u, const std::vector<double>& logs) {
   double s = 0;
@@ -132,6 +135,9 @@ Result<Plan> Planner::PlanView(const AdornedView& view,
       std::clamp(options.aggregate_fraction, 0.0, 1.0);
   plan.aggregate_fraction = agg_f;
 
+  const auto consider = [&options](RepKind kind) {
+    return !options.only_kind.has_value() || *options.only_kind == kind;
+  };
   std::vector<Scored> scored;
   auto add = [&](Scored s) {
     if (agg_f > 0 && s.buildable) {
@@ -193,7 +199,7 @@ Result<Plan> Planner::PlanView(const AdornedView& view,
     scored.push_back(std::move(s));
   };
 
-  if (options.consider_materialized) {
+  if (consider(RepKind::kMaterialized)) {
     Scored s;
     s.pub.kind = s.spec.kind = RepKind::kMaterialized;
     EdgeCover cover = FractionalEdgeCover(h, view.cq().BodyVars());
@@ -212,7 +218,7 @@ Result<Plan> Planner::PlanView(const AdornedView& view,
     add(std::move(s));
   }
 
-  if (options.consider_compressed) {
+  if (consider(RepKind::kCompressed)) {
     Scored s;
     s.pub.kind = s.spec.kind = RepKind::kCompressed;
     if (mu == 0) {
@@ -240,7 +246,7 @@ Result<Plan> Planner::PlanView(const AdornedView& view,
     add(std::move(s));
   }
 
-  if (options.consider_updatable && churn > 0) {
+  if (consider(RepKind::kUpdatable) && churn > 0) {
     // §8 extension: a Theorem-1 snapshot plus a signed pending delta. Per
     // request it pays the snapshot delay, the delta-join overhead (~ the
     // pending mass f*|D|), and the amortized fold (churn * build / (f*|D|)
@@ -292,8 +298,8 @@ Result<Plan> Planner::PlanView(const AdornedView& view,
     add(std::move(s));
   }
 
-  if (options.consider_decomposed && mu > 0 &&
-      mu <= options.max_free_vars_for_decomposition) {
+  if (consider(RepKind::kDecomposed) && mu > 0 &&
+      mu <= kMaxFreeVarsForDecomposition) {
     Scored s;
     s.pub.kind = s.spec.kind = RepKind::kDecomposed;
     Result<ConnexSearchResult> found =
@@ -319,7 +325,7 @@ Result<Plan> Planner::PlanView(const AdornedView& view,
     add(std::move(s));
   }
 
-  if (options.consider_direct) {
+  if (consider(RepKind::kDirect)) {
     Scored s;
     s.pub.kind = s.spec.kind = RepKind::kDirect;
     s.pub.predicted_log_space = stats.log_input;

@@ -19,6 +19,7 @@
 #define CQC_PLAN_PLANNER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,14 +35,11 @@ struct PlannerOptions {
   /// Space budget exponent B: the structure may use O~(N^B) tuple units,
   /// N = largest relation. Negative = unlimited.
   double space_budget_exponent = -1;
-  /// Candidate toggles (ablations / forcing a structure family).
-  bool consider_compressed = true;
-  bool consider_decomposed = true;
-  bool consider_direct = true;
-  bool consider_materialized = true;
-  /// The updatable candidate (§8 extension: Theorem-1 snapshot + signed
-  /// pending delta) is scored only for mutable workloads (churn > 0).
-  bool consider_updatable = true;
+  /// Score only this structure family (forcing a kind for ablations and
+  /// `--plan <kind>`); unset = every family. The updatable candidate (§8
+  /// extension: Theorem-1 snapshot + signed pending delta) is scored only
+  /// for mutable workloads (churn > 0), pinned or not.
+  std::optional<RepKind> only_kind;
   /// Expected base-table mutations per access request (the workload churn
   /// rate, recorded into CatalogStats). 0 = static workload: the updatable
   /// candidate is skipped and no maintenance cost is priced in. When > 0,
@@ -51,9 +49,6 @@ struct PlannerOptions {
   /// cost at the planner-optimized rebuild fraction — see
   /// docs/update-semantics.md.
   double churn_per_request = 0;
-  /// The connex decomposition search is exhaustive over elimination orders;
-  /// views with more free variables skip the decomposed candidate.
-  int max_free_vars_for_decomposition = 8;
   /// Fraction of access requests that are grouped aggregates
   /// (COUNT/SUM/MIN/MAX) rather than enumerations, in [0, 1]. When > 0 the
   /// compressed/updatable specs are built with aggregate annotations

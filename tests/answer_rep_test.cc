@@ -298,6 +298,41 @@ TEST(AnswerRepCapabilities, TagsMatchTheStructures) {
   }
 }
 
+/// Every built adapter advertises exactly what the planner predicts for its
+/// kind (KindCapabilities, which Planner::PlanView prints and picks by), for
+/// a view with free variables and a boolean one, with and without the
+/// aggregate annotations.
+TEST(AnswerRepCapabilities, BuiltAdaptersMatchThePlannerPrediction) {
+  Database db;
+  MakeTripartiteTriangleGraph(db, "R", 4);
+  for (const AdornedView& view : {TriangleView("bfb"), TriangleView("bbb")}) {
+    SCOPED_TRACE(view.ToString());
+    for (RepKind kind : {RepKind::kCompressed, RepKind::kDecomposed,
+                         RepKind::kDirect, RepKind::kMaterialized,
+                         RepKind::kUpdatable}) {
+      for (bool with_aggregates : {false, true}) {
+        SCOPED_TRACE(std::string(RepKindName(kind)) +
+                     (with_aggregates ? " +agg" : ""));
+        RepBuildSpec spec;
+        spec.kind = kind;
+        spec.compressed.tau = 4.0;
+        spec.compressed.build_aggregates = with_aggregates;
+        spec.updatable.rep.tau = 4.0;
+        spec.updatable.rep.build_aggregates = with_aggregates;
+        auto rep = BuildAnswerRep(spec, view, db);
+        ASSERT_TRUE(rep.ok()) << rep.status().message();
+        // Only the annotated Theorem-1 kinds take the flag (planner.cc).
+        const bool annotated = with_aggregates &&
+                               (kind == RepKind::kCompressed ||
+                                kind == RepKind::kUpdatable);
+        EXPECT_EQ(CapabilityTags(rep.value()->capabilities()),
+                  CapabilityTags(
+                      KindCapabilities(kind, view.num_free(), annotated)));
+      }
+    }
+  }
+}
+
 /// ParallelAnswer through the adapter matches the sequential stream (ordered
 /// mode for the sharded compressed structure; multiset for decomposed).
 TEST(AnswerRepParallel, AdapterParallelMatchesSequential) {

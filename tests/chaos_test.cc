@@ -25,7 +25,7 @@ namespace cqc {
 namespace {
 
 using testing::AddRelation;
-using testing::OracleAnswer;
+using testing::ViewOracle;
 using testing::SortedCopy;
 
 constexpr char kTriangle[] = "Q^bfb(x,y,z) = R(x,y), R(y,z), R(z,x)";
@@ -137,9 +137,8 @@ TEST_F(ChaosTest, DegradedAnswersAreByteIdenticalToThePlannedStructure) {
 /// clean AND matched the oracle; a fault comes back as its Status, a
 /// wrong answer as kError. Thread-safe (no gtest assertions): the sweep
 /// calls this from worker threads.
-Status DrainAndCheck(const CachedRep& entry, const AdornedView& view,
-                     const Database& db, const BoundValuation& vb,
-                     bool parallel) {
+Status DrainAndCheck(const CachedRep& entry, const ViewOracle& oracle,
+                     const BoundValuation& vb, bool parallel) {
   ParallelOptions popts;
   popts.num_threads = 2;
   Result<std::unique_ptr<TupleEnumerator>> stream =
@@ -150,7 +149,7 @@ Status DrainAndCheck(const CachedRep& entry, const AdornedView& view,
   if (Status s = stream.value()->StreamStatus(); !s.ok()) return s;
   // The stream finished clean: injected faults elsewhere in the process
   // must not have corrupted it.
-  if (SortedCopy(std::move(got)) != OracleAnswer(view, db, vb))
+  if (SortedCopy(std::move(got)) != oracle.Answer(vb))
     return Status::Error("answer mismatch vs oracle");
   return Status::Ok();
 }
@@ -160,11 +159,11 @@ TEST_F(ChaosTest, RandomFailpointSweepUnderConcurrentReads) {
   MakeTripartiteTriangleGraph(db, "R", 5);
   auto parsed = ParseAdornedView(kTriangle);
   ASSERT_TRUE(parsed.ok());
-  const AdornedView& view = parsed.value();
+  const ViewOracle oracle(parsed.value(), db);
 
   const char* kSites[] = {"build/any",       "build/compressed",
                           "build/decomposed", "build/direct",
-                          "thread_pool/task", "parallel/produce"};
+                          "par/task", "parallel/produce"};
 
   for (uint64_t seed = 0; seed < 4; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -199,8 +198,8 @@ TEST_F(ChaosTest, RandomFailpointSweepUnderConcurrentReads) {
           continue;
         }
         BoundValuation vb = {1 + wrng.Uniform(5), 11 + wrng.Uniform(5)};
-        Status s = DrainAndCheck(*entry.value(), view, db, vb,
-                                 wrng.Bernoulli(0.5));
+        Status s =
+            DrainAndCheck(*entry.value(), oracle, vb, wrng.Bernoulli(0.5));
         if (s.ok()) {
           ++ok_ops;
         } else if (s.IsUnavailable() || s.IsDeadlineExceeded() ||
@@ -226,7 +225,7 @@ TEST_F(ChaosTest, RandomFailpointSweepUnderConcurrentReads) {
     auto entry = cache.Get(kTriangle, 1.2);
     ASSERT_TRUE(entry.ok()) << entry.status().message();
     EXPECT_TRUE(
-        DrainAndCheck(*entry.value(), view, db, {1, 11}, false).ok());
+        DrainAndCheck(*entry.value(), oracle, {1, 11}, false).ok());
   }
 }
 
@@ -289,12 +288,11 @@ TEST_F(ChaosTest, MutationChaosNeverCorruptsServedAnswers) {
               std::vector<Tuple>(edges.begin(), edges.end()));
   auto parsed = ParseAdornedView(kTriangle);
   ASSERT_TRUE(parsed.ok());
-  for (const BoundValuation& vb :
-       testing::InterestingBoundValuations(parsed.value(), mirror_db)) {
+  const ViewOracle oracle(parsed.value(), mirror_db);
+  for (const BoundValuation& vb : oracle.InterestingBoundValuations()) {
     auto e = entry.value()->rep().Answer(vb);
     ASSERT_TRUE(e.ok());
-    EXPECT_EQ(SortedCopy(CollectAll(*e.value())),
-              OracleAnswer(parsed.value(), mirror_db, vb));
+    EXPECT_EQ(SortedCopy(CollectAll(*e.value())), oracle.Answer(vb));
   }
 }
 

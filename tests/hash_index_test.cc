@@ -34,8 +34,7 @@ namespace cqc {
 namespace {
 
 using testing::AddRelation;
-using testing::InterestingBoundValuations;
-using testing::OracleAnswer;
+using testing::ViewOracle;
 
 bool SortedContains(const Relation& rel, TupleSpan t) {
   std::vector<int> identity;
@@ -199,22 +198,28 @@ TEST(Serialization, ByteIdenticalResave) {
 // serialized bytes, same answers. Forces the parallel paths (atom binding,
 // dictionary subtree sweeps, parallel sorts) even on single-core CI.
 TEST(ParallelBuild, MatchesSerialBuildByteForByte) {
-  auto build_and_save = [](int threads, const std::string& path) {
+  const AdornedView view = TriangleView("bfb");
+  // One oracle for both builds (the naive join dominates this test's run
+  // time under sanitizers), over data sealed serially.
+  par::SetBuildThreads(1);
+  Database reference_db;
+  MakeTripartiteTriangleGraph(reference_db, "R", 20);
+  const ViewOracle oracle(view, reference_db);
+  const auto requests = oracle.InterestingBoundValuations();
+  auto build_and_save = [&](int threads, const std::string& path) {
     par::SetBuildThreads(threads);
     Database db;  // fresh db per build: Seal/index builds run under
                   // the configured thread count
     MakeTripartiteTriangleGraph(db, "R", 20);
-    AdornedView view = TriangleView("bfb");
     CompressedRepOptions copt;
     copt.tau = 2.0;  // deep tree: many dictionary subtrees
     auto rep = CompressedRep::Build(view, db, copt);
     ASSERT_TRUE(rep.ok());
     ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
     // Sanity: answers match the oracle under this thread count.
-    const auto requests = InterestingBoundValuations(view, db);
     for (size_t i = 0; i < std::min<size_t>(requests.size(), 4); ++i) {
       EXPECT_EQ(CollectAll(*rep.value()->Answer(requests[i])),
-                OracleAnswer(view, db, requests[i]));
+                oracle.Answer(requests[i]));
     }
     par::SetBuildThreads(0);
   };

@@ -28,8 +28,7 @@
 namespace cqc {
 namespace {
 
-using testing::InterestingBoundValuations;
-using testing::OracleAnswer;
+using testing::ViewOracle;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -59,10 +58,11 @@ std::vector<Tuple> DrainInSmallBatches(TupleEnumerator& e, int arity) {
 void ExpectIdenticalServing(const AdornedView& view, const Database& db,
                             const CompressedRep& heap,
                             const CompressedRep& mapped) {
-  for (const BoundValuation& vb : InterestingBoundValuations(view, db)) {
+  const ViewOracle oracle(view, db);
+  for (const BoundValuation& vb : oracle.InterestingBoundValuations()) {
     const std::vector<Tuple> expect = CollectAll(*heap.Answer(vb));
     EXPECT_EQ(CollectAll(*mapped.Answer(vb)), expect);
-    EXPECT_EQ(expect, OracleAnswer(view, db, vb));
+    EXPECT_EQ(expect, oracle.Answer(vb));
     EXPECT_EQ(mapped.AnswerExists(vb), heap.AnswerExists(vb));
     if (view.num_free() == 0) continue;
 
@@ -219,7 +219,8 @@ TEST(MmapLoadTest, ConcurrentProbesOnFreshMapping) {
   ASSERT_TRUE(rep.ok());
   const std::string path = TempPath("mmap_concurrent.cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
-  const std::vector<BoundValuation> vbs = InterestingBoundValuations(view, db);
+  const ViewOracle oracle(view, db);
+  const std::vector<BoundValuation> vbs = oracle.InterestingBoundValuations();
 
   for (RepFile::Mode mode : kModes) {
     SCOPED_TRACE(ModeName(mode));
@@ -235,7 +236,7 @@ TEST(MmapLoadTest, ConcurrentProbesOnFreshMapping) {
     }
     for (auto& th : threads) th.join();
     for (size_t i = 0; i < vbs.size(); ++i) {
-      const std::vector<Tuple> expect = OracleAnswer(view, db, vbs[i]);
+      const std::vector<Tuple> expect = oracle.Answer(vbs[i]);
       for (int t = 0; t < 4; ++t) EXPECT_EQ(got[t][i], expect);
     }
   }
@@ -351,9 +352,9 @@ TEST(RepFileTest, ReadModeOutlivesTheFile) {
   auto read = LoadCompressedRep(view, db, path, nullptr, RepFile::Mode::kRead);
   ASSERT_TRUE(read.ok()) << read.status().message();
   ASSERT_EQ(std::remove(path.c_str()), 0);
-  for (const BoundValuation& vb : InterestingBoundValuations(view, db))
-    EXPECT_EQ(CollectAll(*read.value()->Answer(vb)),
-              OracleAnswer(view, db, vb));
+  const ViewOracle oracle(view, db);
+  for (const BoundValuation& vb : oracle.InterestingBoundValuations())
+    EXPECT_EQ(CollectAll(*read.value()->Answer(vb)), oracle.Answer(vb));
 }
 
 }  // namespace

@@ -96,10 +96,7 @@ TEST(Planner, RestrictedCandidatesAreHonored) {
   for (RepKind kind : {RepKind::kCompressed, RepKind::kDecomposed,
                        RepKind::kDirect, RepKind::kMaterialized}) {
     PlannerOptions popt;
-    popt.consider_compressed = kind == RepKind::kCompressed;
-    popt.consider_decomposed = kind == RepKind::kDecomposed;
-    popt.consider_direct = kind == RepKind::kDirect;
-    popt.consider_materialized = kind == RepKind::kMaterialized;
+    popt.only_kind = kind;
     auto plan = planner.PlanView(TriangleView("bfb"), popt);
     ASSERT_TRUE(plan.ok()) << RepKindName(kind);
     EXPECT_EQ(plan.value().spec.kind, kind);

@@ -251,9 +251,7 @@ TEST(RepCache, SnapshotPersistAndMmapRestart) {
   std::filesystem::create_directories(snap_dir);
   options.snapshot_dir = snap_dir.string();
   // PersistEntry needs a compressed structure; pin the planner to one.
-  options.planner.consider_decomposed = false;
-  options.planner.consider_direct = false;
-  options.planner.consider_materialized = false;
+  options.planner.only_kind = RepKind::kCompressed;
   RepCache cache(&db, options);
   auto entry = cache.Get(kTriangle);
   ASSERT_TRUE(entry.ok()) << entry.status().message();
@@ -271,11 +269,11 @@ TEST(RepCache, SnapshotPersistAndMmapRestart) {
   EXPECT_EQ(revived_cache.stats().mmap_loads, 1u);
   auto parsed = ParseAdornedView(kTriangle);
   ASSERT_TRUE(parsed.ok());
-  for (const BoundValuation& vb :
-       testing::InterestingBoundValuations(parsed.value(), db)) {
+  const testing::ViewOracle oracle(parsed.value(), db);
+  for (const BoundValuation& vb : oracle.InterestingBoundValuations()) {
     auto e = revived.value()->rep().Answer(vb);
     ASSERT_TRUE(e.ok());
-    EXPECT_EQ(CollectAll(*e.value()), OracleAnswer(parsed.value(), db, vb));
+    EXPECT_EQ(CollectAll(*e.value()), oracle.Answer(vb));
   }
 
   // Re-persisting over the entry's OWN backing file must not disturb the
@@ -284,8 +282,7 @@ TEST(RepCache, SnapshotPersistAndMmapRestart) {
   ASSERT_TRUE(revived_cache.PersistEntry(revived.value()->key()).ok());
   auto still = revived.value()->rep().Answer({1, 9});
   ASSERT_TRUE(still.ok());
-  EXPECT_EQ(CollectAll(*still.value()),
-            OracleAnswer(parsed.value(), db, {1, 9}));
+  EXPECT_EQ(CollectAll(*still.value()), oracle.Answer({1, 9}));
 
   // A snapshot that no longer matches the data must NOT serve: a cache
   // over a different database falls back to a fresh build.

@@ -1,17 +1,22 @@
 // Fault-tolerance unit tests (docs/robustness.md): the failpoint
 // framework, RequestContext deadline/cancellation, ThreadPool exception
-// containment + TaskGroup attribution, RepCache retry / negative cache /
-// degraded fallback / single-flight failure fan-out, and the strict
+// containment and start order, the par::RunTasks fork-join (re-run of
+// injected or failed tasks, serial nesting), RepCache retry / negative
+// cache / degraded fallback / single-flight failure fan-out, and the strict
 // cqc_cli script grammar against a malformed-input corpus.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/enumerator.h"
+#include "exec/par_util.h"
 #include "exec/thread_pool.h"
 #include "plan/answer_rep.h"
 #include "plan/rep_cache.h"
@@ -146,7 +151,7 @@ TEST(RequestContextTest, CancellationWinsTies) {
   EXPECT_TRUE(ctx.Check().IsCancelled());
 }
 
-// --- ThreadPool containment + TaskGroup -------------------------------------
+// --- ThreadPool containment and order ---------------------------------------
 
 TEST_F(RobustnessTest, ThrowingTaskNeverKillsTheProcess) {
   ThreadPool pool(2);
@@ -161,43 +166,159 @@ TEST_F(RobustnessTest, ThrowingTaskNeverKillsTheProcess) {
   EXPECT_EQ(ran.load(), 1);
 }
 
-TEST_F(RobustnessTest, TaskGroupPropagatesExceptionsAsStatus) {
+// Each task waits until the previously submitted task has finished (task 0
+// waits for a gate opened after every submit). That completes on two
+// workers only if tasks start in submission order; a pool that started a
+// later task first would park both workers on tasks whose predecessor is
+// still queued.
+TEST_F(RobustnessTest, ThreadPoolStartsTasksInSubmissionOrder) {
+  constexpr int kTasks = 16;
   ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i)
-    group.Submit([&] { ++ran; });
-  group.Submit([]() { throw std::runtime_error("task exploded"); });
-  Status s = group.Wait();
-  EXPECT_TRUE(s.IsUnavailable());
-  EXPECT_NE(s.message().find("task exploded"), std::string::npos);
-  EXPECT_EQ(group.failed_tasks(), 1u);
-  EXPECT_EQ(ran.load(), 8);
-  // Contained by the group, not leaked to the pool backstop.
-  EXPECT_EQ(pool.uncaught_task_exceptions(), 0u);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gate = false;
+  int finished = 0;
+  bool timed_out = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (int i = 0; i < kTasks; ++i) {
+    pool.Submit([&, i] {
+      std::unique_lock<std::mutex> lk(mu);
+      if (!cv.wait_until(lk, deadline,
+                         [&] { return gate && finished == i; })) {
+        timed_out = true;
+        return;
+      }
+      ++finished;
+      cv.notify_all();
+    });
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    gate = true;
+  }
+  cv.notify_all();
+  pool.WaitIdle();
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(finished, kTasks);
 }
 
-TEST_F(RobustnessTest, TaskGroupCapturesStatusReturningTasks) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.Submit([]() -> Status { return Status::Ok(); });
-  group.Submit([]() -> Status { return Status::Unavailable("soft fault"); });
-  Status s = group.Wait();
-  EXPECT_TRUE(s.IsUnavailable());
-  EXPECT_EQ(group.failed_tasks(), 1u);
+// --- par::RunTasks fork-join -------------------------------------------------
+
+/// RunTasks tests force a parallel fan-out whatever the host's core count.
+class RunTasksTest : public RobustnessTest {
+ protected:
+  void SetUp() override {
+    RobustnessTest::SetUp();
+    par::SetBuildThreads(4);
+  }
+  void TearDown() override {
+    par::SetBuildThreads(0);
+    RobustnessTest::TearDown();
+  }
+};
+
+TEST_F(RunTasksTest, EveryTaskRunsExactlyOnce) {
+  constexpr size_t kTasks = 64;
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < kTasks; ++i) tasks.push_back([&, i] { ++runs[i]; });
+  par::RunTasks(std::move(tasks));
+  for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
 }
 
-TEST_F(RobustnessTest, TaskGroupHonorsThreadPoolFailpoint) {
-  ThreadPool pool(2);
-  failpoint::Arm("thread_pool/task", {.probability = 1.0, .max_fires = 1});
-  TaskGroup group(pool);
+TEST_F(RunTasksTest, InjectedTaskIsRerunAndFillsItsSlot) {
+  constexpr size_t kTasks = 8;
+  failpoint::Arm("par/task", {.probability = 1.0, .max_fires = 1});
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::vector<size_t> slots(kTasks, 0);
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < kTasks; ++i)
+    tasks.push_back([&, i] {
+      ++runs[i];
+      slots[i] = i + 1;
+    });
+  par::RunTasks(std::move(tasks));
+  EXPECT_EQ(failpoint::FireCount("par/task"), 1u);
+  // The injected task never started the first time, so each task ran
+  // exactly once in total.
+  for (size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(slots[i], i + 1) << i;
+    EXPECT_EQ(runs[i].load(), 1) << i;
+  }
+}
+
+TEST_F(RunTasksTest, ThrowingTaskIsRerunOnTheCaller) {
+  constexpr size_t kTasks = 8;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> attempts{0};
+  std::thread::id rerun_on;
+  std::vector<size_t> slots(kTasks, 0);
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < kTasks; ++i)
+    tasks.push_back([&, i] {
+      if (i == 3 && attempts.fetch_add(1) == 0)
+        throw std::runtime_error("transient");
+      if (i == 3) rerun_on = std::this_thread::get_id();
+      slots[i] = i + 1;
+    });
+  par::RunTasks(std::move(tasks));
+  EXPECT_EQ(attempts.load(), 2);
+  EXPECT_EQ(rerun_on, caller);
+  for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(slots[i], i + 1) << i;
+
+  // A task that fails its re-run too propagates to the caller, after every
+  // other task has run.
   std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i)
-    group.Submit([&] { ++ran; });
-  Status s = group.Wait();
-  EXPECT_TRUE(s.IsUnavailable());
-  EXPECT_EQ(group.failed_tasks(), 1u);
-  EXPECT_EQ(ran.load(), 3);  // exactly the injected task was dropped
+  tasks.clear();
+  for (size_t i = 0; i < kTasks; ++i)
+    tasks.push_back([&, i] {
+      if (i == 5) throw std::runtime_error("persistent");
+      ++ran;
+    });
+  EXPECT_THROW(par::RunTasks(std::move(tasks)), std::runtime_error);
+  EXPECT_EQ(ran.load(), (int)kTasks - 1);
+}
+
+TEST_F(RunTasksTest, NestedFanOutRunsSerially) {
+  // Inside a RunTasks task: the inner list runs on the task's own thread.
+  // (Counted in atomics, asserted after the join.)
+  std::vector<std::atomic<int>> mismatches(4);
+  std::atomic<int> not_serial{0};
+  std::vector<std::function<void()>> outer;
+  for (size_t i = 0; i < 4; ++i)
+    outer.push_back([&, i] {
+      if (!par::SerialOnly()) ++not_serial;
+      const std::thread::id self = std::this_thread::get_id();
+      std::vector<std::function<void()>> inner;
+      for (int j = 0; j < 4; ++j)
+        inner.push_back([&, self, i] {
+          if (std::this_thread::get_id() != self) ++mismatches[i];
+        });
+      par::RunTasks(std::move(inner));
+    });
+  EXPECT_FALSE(par::SerialOnly());
+  par::RunTasks(std::move(outer));
+  EXPECT_EQ(not_serial.load(), 0);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(mismatches[i].load(), 0) << i;
+
+  // Inside a ThreadPool worker: the list runs on the worker.
+  ThreadPool pool(1);
+  std::atomic<int> pool_mismatches{0};
+  std::atomic<int> pool_runs{0};
+  pool.Submit([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<std::function<void()>> tasks;
+    for (int j = 0; j < 4; ++j)
+      tasks.push_back([&, self] {
+        ++pool_runs;
+        if (std::this_thread::get_id() != self) ++pool_mismatches;
+      });
+    par::RunTasks(std::move(tasks));
+  });
+  pool.WaitIdle();
+  EXPECT_EQ(pool_runs.load(), 4);
+  EXPECT_EQ(pool_mismatches.load(), 0);
 }
 
 // --- deadline-checked streaming ---------------------------------------------

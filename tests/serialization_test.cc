@@ -13,8 +13,8 @@
 namespace cqc {
 namespace {
 
-using testing::InterestingBoundValuations;
 using testing::OracleAnswer;
+using testing::ViewOracle;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -40,11 +40,11 @@ TEST(SerializationTest, RoundTripAnswersIdentically) {
             original.value()->stats().dict_entries);
   EXPECT_DOUBLE_EQ(loaded.value()->tau(), original.value()->tau());
 
-  for (const BoundValuation& vb : InterestingBoundValuations(view, db)) {
+  const ViewOracle oracle(view, db);
+  for (const BoundValuation& vb : oracle.InterestingBoundValuations()) {
     EXPECT_EQ(CollectAll(*loaded.value()->Answer(vb)),
               CollectAll(*original.value()->Answer(vb)));
-    EXPECT_EQ(CollectAll(*loaded.value()->Answer(vb)),
-              OracleAnswer(view, db, vb));
+    EXPECT_EQ(CollectAll(*loaded.value()->Answer(vb)), oracle.Answer(vb));
   }
 }
 
@@ -62,9 +62,9 @@ TEST(SerializationTest, RoundTripStarAndRunningExample) {
     ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
     auto loaded = LoadCompressedRep(view, db, path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-    for (const BoundValuation& vb : InterestingBoundValuations(view, db))
-      EXPECT_EQ(CollectAll(*loaded.value()->Answer(vb)),
-                OracleAnswer(view, db, vb));
+    const ViewOracle oracle(view, db);
+    for (const BoundValuation& vb : oracle.InterestingBoundValuations())
+      EXPECT_EQ(CollectAll(*loaded.value()->Answer(vb)), oracle.Answer(vb));
   }
 }
 

@@ -79,59 +79,78 @@ inline std::vector<Tuple> NaiveEvaluate(const ConjunctiveQuery& cq,
   return out;
 }
 
-/// Oracle for an access request: the sorted distinct free-variable tuples
-/// of the view matching the bound valuation.
+/// The naive oracle for one (view, database) pair, with the join evaluated
+/// once: build it before a loop over access requests, then ask it per bound
+/// valuation. The database must not change while the oracle is in use.
+class ViewOracle {
+ public:
+  ViewOracle(const AdornedView& view, const Database& db,
+             const Database* aux_db = nullptr)
+      : full_(NaiveEvaluate(view.cq(), db, aux_db)) {
+    // Head layout: positions of bound and free vars within the head.
+    for (size_t i = 0; i < view.cq().head().size(); ++i) {
+      if (view.adornment()[i] == Binding::kBound)
+        bound_pos_.push_back((int)i);
+      else
+        free_pos_.push_back((int)i);
+    }
+  }
+
+  /// The sorted distinct free-variable tuples matching `vb`.
+  std::vector<Tuple> Answer(const BoundValuation& vb) const {
+    std::vector<Tuple> out;
+    for (const Tuple& t : full_) {
+      bool match = true;
+      for (size_t i = 0; i < bound_pos_.size(); ++i)
+        if (t[bound_pos_[i]] != vb[i]) {
+          match = false;
+          break;
+        }
+      if (!match) continue;
+      Tuple free;
+      for (int p : free_pos_) free.push_back(t[p]);
+      out.push_back(std::move(free));
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
+  /// All distinct bound valuations present in the full result (guaranteed
+  /// non-empty answers), plus a few that are absent.
+  std::vector<BoundValuation> InterestingBoundValuations() const {
+    std::set<BoundValuation> vals;
+    for (const Tuple& t : full_) {
+      BoundValuation vb;
+      for (int p : bound_pos_) vb.push_back(t[p]);
+      vals.insert(vb);
+    }
+    std::vector<BoundValuation> out(vals.begin(), vals.end());
+    // A couple of misses: all-zeros and a large constant.
+    out.push_back(BoundValuation(bound_pos_.size(), 0));
+    out.push_back(BoundValuation(bound_pos_.size(), 999999999));
+    return out;
+  }
+
+ private:
+  std::vector<Tuple> full_;
+  std::vector<int> bound_pos_, free_pos_;
+};
+
+/// Oracle for a single access request (evaluates the whole join; loops
+/// over requests use a ViewOracle).
 inline std::vector<Tuple> OracleAnswer(const AdornedView& view,
                                        const Database& db,
                                        const BoundValuation& vb,
                                        const Database* aux_db = nullptr) {
-  std::vector<Tuple> full = NaiveEvaluate(view.cq(), db, aux_db);
-  // Head layout: positions of bound and free vars within the head.
-  std::vector<int> bound_pos, free_pos;
-  for (size_t i = 0; i < view.cq().head().size(); ++i) {
-    if (view.adornment()[i] == Binding::kBound)
-      bound_pos.push_back((int)i);
-    else
-      free_pos.push_back((int)i);
-  }
-  std::vector<Tuple> out;
-  for (const Tuple& t : full) {
-    bool match = true;
-    for (size_t i = 0; i < bound_pos.size(); ++i)
-      if (t[bound_pos[i]] != vb[i]) {
-        match = false;
-        break;
-      }
-    if (!match) continue;
-    Tuple free;
-    for (int p : free_pos) free.push_back(t[p]);
-    out.push_back(std::move(free));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return ViewOracle(view, db, aux_db).Answer(vb);
 }
 
-/// All distinct bound valuations present in the full result (guaranteed
-/// non-empty answers), plus a few that are absent.
+/// ViewOracle::InterestingBoundValuations for a one-off caller.
 inline std::vector<BoundValuation> InterestingBoundValuations(
     const AdornedView& view, const Database& db,
     const Database* aux_db = nullptr) {
-  std::vector<Tuple> full = NaiveEvaluate(view.cq(), db, aux_db);
-  std::vector<int> bound_pos;
-  for (size_t i = 0; i < view.cq().head().size(); ++i)
-    if (view.adornment()[i] == Binding::kBound) bound_pos.push_back((int)i);
-  std::set<BoundValuation> vals;
-  for (const Tuple& t : full) {
-    BoundValuation vb;
-    for (int p : bound_pos) vb.push_back(t[p]);
-    vals.insert(vb);
-  }
-  std::vector<BoundValuation> out(vals.begin(), vals.end());
-  // A couple of misses: all-zeros and a large constant.
-  out.push_back(BoundValuation(bound_pos.size(), 0));
-  out.push_back(BoundValuation(bound_pos.size(), 999999999));
-  return out;
+  return ViewOracle(view, db, aux_db).InterestingBoundValuations();
 }
 
 /// True iff `tuples` is strictly increasing lexicographically.

@@ -23,7 +23,7 @@ namespace {
 
 using testing::AddRelation;
 using testing::InterestingBoundValuations;
-using testing::OracleAnswer;
+using testing::ViewOracle;
 using testing::SortedCopy;
 
 // One property-sweep family: a view, its generator, and the mutation
@@ -118,7 +118,8 @@ class DataMirror {
 
 void ExpectMatchesOracle(const AnswerRep& rep, const AdornedView& view,
                          const Database& now, const std::string& context) {
-  for (const BoundValuation& vb : InterestingBoundValuations(view, now)) {
+  const ViewOracle oracle(view, now);
+  for (const BoundValuation& vb : oracle.InterestingBoundValuations()) {
     auto got = rep.Answer(vb);
     ASSERT_TRUE(got.ok()) << context;
     std::vector<Tuple> tuples = CollectAll(*got.value());
@@ -126,7 +127,7 @@ void ExpectMatchesOracle(const AnswerRep& rep, const AdornedView& view,
     EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
                 sorted.end())
         << context << ": duplicates emitted";
-    EXPECT_EQ(sorted, OracleAnswer(view, now, vb)) << context;
+    EXPECT_EQ(sorted, oracle.Answer(vb)) << context;
   }
 }
 

@@ -226,11 +226,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown --plan %s\n", plan_name.c_str());
         return 2;
       }
-      popt.consider_compressed = *fixed == RepKind::kCompressed;
-      popt.consider_decomposed = *fixed == RepKind::kDecomposed;
-      popt.consider_direct = *fixed == RepKind::kDirect;
-      popt.consider_materialized = *fixed == RepKind::kMaterialized;
-      popt.consider_updatable = *fixed == RepKind::kUpdatable;
+      popt.only_kind = fixed;
       // The updatable candidate is scored only for mutable workloads.
       if (*fixed == RepKind::kUpdatable && popt.churn_per_request <= 0)
         popt.churn_per_request = 0.5;
